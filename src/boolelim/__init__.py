@@ -21,20 +21,14 @@ from .decide import (
     refute_ae,
 )
 from .elim import (
+    SHAPE_SPECS,
     DegreeReport,
     QuantifiedEquation,
     Shape,
+    ShapeSpec,
     SqrtValue,
     WitnessRecipe,
-    build_ae3_q,
-    build_ae_c,
-    build_ae_r,
-    build_e3d_q,
-    build_e_r,
-    build_ea_c,
-    build_ed_r,
     build_for_shape,
-    builder_for_shape,
     degree_report,
     extract_witness,
     from_json,

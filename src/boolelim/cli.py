@@ -21,6 +21,7 @@ from .decide import (
     refute_ae,
 )
 from .elim import (
+    SHAPE_SPECS,
     QuantifiedEquation,
     Shape,
     build_for_shape,
@@ -30,12 +31,15 @@ from .elim import (
     to_latex,
 )
 from .errors import (
+    FieldMismatchError,
     FormulaSyntaxError,
     NeqLiteralError,
     OrderInComplexError,
     OrderLiteralError,
     ShapeUnsupportedError,
     SizeLimitError,
+    UnexpectedVariablesError,
+    VariableCollisionError,
     WrongKindError,
 )
 from .exactnum import GaussianRational
@@ -49,6 +53,7 @@ from .fixtures import (
 from .formula import (
     DEFAULT_CLAUSE_LIMIT,
     NormalForm,
+    Rel,
     parse,
     rewrite_neq_to_orders,
     to_cnf,
@@ -64,16 +69,8 @@ EXIT_UNRESOLVED = 5
 EXIT_SHAPE = 6
 EXIT_DISAGREE = 7
 
-# which fields each requested form makes sense over, and the shape it builds
-_FORM_FIELDS = {
-    "ea": {Field.C},
-    "ae": {Field.C, Field.R},
-    "e": {Field.R, Field.Q},
-    "ed": {Field.R},
-    "e3d": {Field.Q},
-    "ae3": {Field.Q},
-}
-
+# the shape each form builds over each field it is defined for; the shape's
+# spec says which normal form to take and whether != becomes order literals
 _FORM_SHAPE = {
     ("ea", Field.C): Shape.EA_C,
     ("ae", Field.C): Shape.AE_C,
@@ -85,16 +82,23 @@ _FORM_SHAPE = {
     ("ae3", Field.Q): Shape.AE3_Q,
 }
 
-# forms whose gadgets encode order literals, so != must be rewritten first
-_ORDER_FORMS = {("ae", Field.R), ("ed", Field.R), ("e3d", Field.Q), ("ae3", Field.Q)}
-
-_DNF_FORMS = {"ea", "e"}
-
-
-class _CliFail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+# the documented exit code of each failure an input can cause; any other
+# exception is a bug and keeps its traceback
+_EXIT_CODES = {
+    FormulaSyntaxError: EXIT_PARSE,
+    UnexpectedVariablesError: EXIT_PARSE,
+    ZeroDivisionError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    OrderInComplexError: EXIT_INCOMPATIBLE,
+    OrderLiteralError: EXIT_INCOMPATIBLE,
+    NeqLiteralError: EXIT_INCOMPATIBLE,
+    WrongKindError: EXIT_INCOMPATIBLE,
+    FieldMismatchError: EXIT_INCOMPATIBLE,
+    VariableCollisionError: EXIT_INCOMPATIBLE,
+    SizeLimitError: EXIT_SIZE,
+    ShapeUnsupportedError: EXIT_SHAPE,
+}
 
 
 def _read_input(arg: str) -> str:
@@ -164,30 +168,32 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return lo, hi, step
 
 
+def _matrix(phi, shape: Shape, limit: int = DEFAULT_CLAUSE_LIMIT):
+    if SHAPE_SPECS[shape].kind is NormalForm.DNF:
+        return to_dnf(phi, limit)
+    return to_cnf(phi, limit)
+
+
 def _build_from_text(text: str, form: str, fld: Field, limit: int) -> tuple:
-    if fld not in _FORM_FIELDS[form]:
-        raise _CliFail(
-            EXIT_INCOMPATIBLE,
-            f"form {form!r} is not defined over field {fld.value}",
-        )
-    try:
-        phi = parse(text, fld)
-    except OrderInComplexError as exc:
-        raise _CliFail(EXIT_INCOMPATIBLE, str(exc))
-    except FormulaSyntaxError as exc:
-        raise _CliFail(EXIT_PARSE, str(exc))
-    if (form, fld) in _ORDER_FORMS:
+    shape = _FORM_SHAPE.get((form, fld))
+    if shape is None:
+        raise FieldMismatchError(f"form {form!r} is not defined over field {fld.value}")
+    phi = parse(text, fld)
+    if Rel.GT0 in SHAPE_SPECS[shape].literals:
         phi = rewrite_neq_to_orders(phi)
+    return phi, build_for_shape(shape, _matrix(phi, shape, limit))
+
+
+def _load_equation(arg: str) -> QuantifiedEquation:
+    """A serialized equation from a file or stdin, given bare or as the whole
+    `eliminate --output json` payload, whose `equation` member it is."""
+    text = _read_input(arg)
     try:
-        m = to_dnf(phi, limit) if form in _DNF_FORMS else to_cnf(phi, limit)
-    except SizeLimitError as exc:
-        raise _CliFail(EXIT_SIZE, str(exc))
-    shape = _FORM_SHAPE[(form, fld)]
-    try:
-        qe = build_for_shape(shape, m)
-    except (OrderLiteralError, NeqLiteralError, WrongKindError) as exc:
-        raise _CliFail(EXIT_INCOMPATIBLE, str(exc))
-    return phi, qe
+        obj = json.loads(text)
+        inner = obj.get("equation") if isinstance(obj, dict) else None
+        return from_json(json.dumps(inner) if isinstance(inner, dict) else text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad equation JSON: {exc}") from exc
 
 
 def _print_equation(qe: QuantifiedEquation, output: str, out) -> None:
@@ -202,7 +208,7 @@ def _print_equation(qe: QuantifiedEquation, output: str, out) -> None:
         print(to_latex(qe), file=out)
     else:
         prefix = " ".join(f"{q} {n}" for q, n in qe.prefix)
-        print(f"{prefix}: {render_poly(qe.equation, qe.prefix)} = 0", file=out)
+        print(f"{prefix}: {render_poly(qe.equation, qe.quantified_names())} = 0", file=out)
     rep = degree_report(qe)
     degs = ", ".join(f"{n}:{v}" for n, v in rep.degrees.items())
     bnds = ", ".join(f"{n}<={v}" for n, v in rep.bounds.items())
@@ -233,15 +239,11 @@ def _cmd_report(args, out) -> int:
 
 
 def _cmd_decide(args, out) -> int:
-    payload = _read_input(args.input)
-    try:
-        qe = from_json(payload)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise _CliFail(EXIT_PARSE, f"bad equation JSON: {exc}")
+    qe = _load_equation(args.input)
     point = _parse_point(args.point or "", qe.field)
     if args.refute:
         if args.seed is None:
-            raise _CliFail(EXIT_PARSE, "--refute needs --seed")
+            raise ValueError("--refute needs --seed")
         plan = SamplePlan(seed=args.seed, count=args.points, bound=args.bound)
         verdict = refute_ae(qe, point, plan)
         print(str(verdict), file=out)
@@ -265,11 +267,7 @@ def _cmd_verify(args, out) -> int:
             render_formula(f_not(phi)), args.form, fld, args.clause_limit
         )
     plan = SamplePlan(seed=args.seed, count=args.points, bound=args.bound)
-    decider = decider_for_shape(qe.shape)
-    try:
-        report = equivalence_run(phi, qe, decider, plan)
-    except ShapeUnsupportedError as exc:
-        raise _CliFail(EXIT_SHAPE, str(exc))
+    report = equivalence_run(phi, qe, decider_for_shape(qe.shape), plan)
     print(
         f"{report['agreements']}/{report['points']} agree (seed {report['seed']})",
         file=out,
@@ -317,17 +315,12 @@ def _selftest_cases(corrupt: bool):
 
     from .formula import RandomFormulaParams, random_formula
 
-    sweep = (
-        ("ea", Field.C, NormalForm.DNF, Shape.EA_C),
-        ("ae", Field.C, NormalForm.CNF, Shape.AE_C),
-        ("e", Field.R, NormalForm.DNF, Shape.E_R),
-    )
     ok = True
-    for form, fld, kind, shape in sweep:
+    for fld, shape in ((Field.C, Shape.EA_C), (Field.C, Shape.AE_C), (Field.R, Shape.E_R)):
+        kind = SHAPE_SPECS[shape].kind
         for seed in range(3):
             phi = random_formula(seed, RandomFormulaParams(field=fld, kind=kind))
-            m = to_dnf(phi) if kind is NormalForm.DNF else to_cnf(phi)
-            qe = build_for_shape(shape, m)
+            qe = build_for_shape(shape, _matrix(phi, shape))
             rep = equivalence_run(
                 phi, qe, decider_for_shape(shape), SamplePlan(seed=seed + 100, count=8)
             )
@@ -368,17 +361,13 @@ def _cmd_plot(args, out) -> int:
         qe = quadrant_fixture(simplified=args.fixture == "quadrant")
     else:
         if not args.input:
-            raise _CliFail(EXIT_PARSE, "plot needs --input or --fixture")
-        try:
-            qe = from_json(_read_input(args.input))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise _CliFail(EXIT_PARSE, f"bad equation JSON: {exc}")
+            raise ValueError("plot needs --input or --fixture")
+        qe = _load_equation(args.input)
     kinds = tuple(q for q, _ in qe.prefix)
     frees = qe.free_names()
     if kinds != ("exists",) or len(frees) != 2 or qe.field is Field.C:
-        raise _CliFail(
-            EXIT_SHAPE,
-            "plot needs a single real exists variable over two free variables",
+        raise ShapeUnsupportedError(
+            "plot needs a single real exists variable over two free variables"
         )
     lo, hi, step = _parse_grid(args.grid)
     ycol, zcol = frees
@@ -393,7 +382,7 @@ def _cmd_plot(args, out) -> int:
 def _add_common(sp, need_form=True):
     if need_form:
         sp.add_argument("--field", choices=["c", "r", "q"], required=True)
-        sp.add_argument("--form", choices=sorted(_FORM_FIELDS), required=True)
+        sp.add_argument("--form", choices=sorted({f for f, _ in _FORM_SHAPE}), required=True)
     sp.add_argument("--input", default="-", help="formula or equation file, - for stdin")
     sp.add_argument("--output", choices=["json", "latex", "text"], default="text")
     sp.add_argument("--clause-limit", type=int, default=DEFAULT_CLAUSE_LIMIT)
@@ -454,18 +443,9 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args, out)
-    except _CliFail as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ShapeUnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for t, code in _EXIT_CODES.items() if isinstance(exc, t))
 
 
 if __name__ == "__main__":

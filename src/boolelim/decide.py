@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .elim import (
-    QuantifiedEquation,
-    Shape,
-    SqrtValue,
-    builder_for_shape,
-)
+from .elim import QuantifiedEquation, Shape, SqrtValue, build_for_shape
 from .errors import (
     MissingAssignmentError,
     ShapeUnsupportedError,
@@ -248,13 +243,12 @@ def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
 
 
 def _layout_matches(a: QuantifiedEquation, b: QuantifiedEquation) -> bool:
-    if a.prefix != b.prefix:
-        return False
-    if (a.guard is None) != (b.guard is None):
-        return False
-    if a.guard is not None and not (a.guard == b.guard):
-        return False
-    return a.factors == b.factors and a.brackets == b.brackets and a.addends == b.addends
+    return (
+        a.prefix == b.prefix
+        and a.power == b.power
+        and a.addends == b.addends
+        and a.guard == b.guard
+    )
 
 
 def _structured(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
@@ -266,7 +260,7 @@ def _structured(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
         return qe._rebuilt
     if qe.provenance is None:
         raise ShapeUnsupportedError("no provenance matrix to re-derive from")
-    rebuilt = builder_for_shape(shape)(qe.provenance)
+    rebuilt = build_for_shape(shape, qe.provenance)
     if _layout_matches(rebuilt, qe):
         qe._rebuilt = qe
         return qe
@@ -280,7 +274,7 @@ def decide_ed_r(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Sum of squared brackets with disjoint r_i: zero iff every bracket,
     univariate in its own r_i, has a real root or is identically zero."""
     qe2 = _structured(qe, Shape.Ed_R)
-    for i, b in enumerate(qe2.substituted_brackets(x)):
+    for i, b in enumerate(qe2.addend_values(lambda p: p.substitute(x))):
         name = f"r{i+1}"
         _require_only(b, {name}, "decide_ed_r")
         if count_real_roots(as_univariate(b, name)) == 0:
@@ -296,7 +290,8 @@ def decide_ae_r_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
     one-variable polynomial in s goes to Sturm."""
     qe2 = _structured(qe, Shape.AE_R)
     r_name, s_name = (n for _, n in qe2.prefix)
-    guard, addends = qe2.substituted_guard_and_addends(x)
+    guard = qe2.guard.substitute(x)
+    addends = qe2.addend_values(lambda p: p.substitute(x))
     d = len(addends)
     for i in range(1, d + 1):
         node = {r_name: Fraction(i)}
@@ -333,20 +328,21 @@ def _clause_vanishable_q(m, i: int, x: Mapping) -> bool:
     return False
 
 
+def _every_clause_vanishable_q(qe: QuantifiedEquation, x: Mapping, shape: Shape) -> bool:
+    m = _structured(qe, shape).provenance
+    return all(_clause_vanishable_q(m, i, x) for i in range(m.d))
+
+
 def decide_e3d_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Each bracket must vanish: some equation hits zero, or some gadget's
     reciprocal test passes the three-squares criterion."""
-    qe2 = _structured(qe, Shape.E3d_Q)
-    m = qe2.provenance
-    return all(_clause_vanishable_q(m, i, x) for i in range(m.d))
+    return _every_clause_vanishable_q(qe, x, Shape.E3d_Q)
 
 
 def decide_ae3_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Node reduction as in the real forall-exists case, with the inner
     exists decided by the three-squares criterion."""
-    qe2 = _structured(qe, Shape.AE3_Q)
-    m = qe2.provenance
-    return all(_clause_vanishable_q(m, i, x) for i in range(m.d))
+    return _every_clause_vanishable_q(qe, x, Shape.AE3_Q)
 
 
 DECIDER_FOR_SHAPE: dict[Shape, Callable] = {
@@ -393,7 +389,6 @@ class SamplePlan:
     seed: int
     count: int = 64
     bound: int = 32
-    include_integers_up_to: int | None = None
 
     def __post_init__(self):
         if self.count < 1:
@@ -430,8 +425,7 @@ def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:
     if not qe.prefix or qe.prefix[0][0] != "forall":
         raise ShapeUnsupportedError("refuter needs a forall-first prefix")
     d = qe.provenance.d if qe.provenance is not None else 0
-    upto = plan.include_integers_up_to if plan.include_integers_up_to is not None else d
-    samples: list = [Fraction(i) for i in range(1, upto + 1)][: plan.count]
+    samples: list = [Fraction(i) for i in range(1, d + 1)][: plan.count]
     rng = random.Random(plan.seed)
     while len(samples) < plan.count:
         samples.append(Fraction(rng.randint(-plan.bound, plan.bound), rng.randint(1, plan.bound)))
@@ -471,42 +465,13 @@ def check_witness(qe: QuantifiedEquation, x: Mapping, assignment: Mapping) -> bo
         bound[name] = v
     unbound = [n for _, n in qe.prefix if n not in bound]
     if not unbound:
-        return not _evaluate_layout(qe, bound)
+        return not qe.fold(lambda f: _eval_poly(f, bound))
     if has_quad:
         raise MissingAssignmentError(
             f"square-root witnesses need every quantified variable bound; missing {unbound}"
         )
     residual = qe.substituted_equation(bound)
     return residual.is_zero()
-
-
-def _evaluate_layout(qe: QuantifiedEquation, point: Mapping):
-    if qe.is_opaque():
-        return _eval_poly(qe.equation, point)
-    if qe.shape in (Shape.EA_C, Shape.E_R):
-        total = None
-        for f in qe.factors:
-            v = _eval_poly(f, point)
-            total = v if total is None else total * v
-        return qe.ring.scalar(1) if total is None else total
-    if qe.shape in (Shape.Ed_R, Shape.E3d_Q):
-        total = qe.ring.scalar(0)
-        for bracket in qe.brackets:
-            b = None
-            for f in bracket:
-                v = _eval_poly(f, point)
-                b = v if b is None else b * v
-            b = qe.ring.scalar(1) if b is None else b
-            total = total + b * b
-        return total
-    total = qe.ring.scalar(0)
-    for addend in qe.addends:
-        part = None
-        for f in addend:
-            v = _eval_poly(f, point)
-            part = v if part is None else part * v
-        total = total + (qe.ring.scalar(1) if part is None else part)
-    return _eval_poly(qe.guard, point) * total
 
 
 # -- equivalence harness ---------------------------------------------------------------

@@ -17,9 +17,15 @@ DNF feeds the exists-first shapes, CNF the forall-first and per-conjunct ones.
 Empty products are 1 and empty sums 0, so degenerate matrices come out right
 without special cases.
 
-Equations are kept in factored layout (clause factors, squared brackets, or
-guard times selector sum); the expanded polynomial is computed lazily since
-degree accounting, deciding, and witness checking all work factor-wise.
+Every equation has one layout, guard * sum_i (prod_j f_ij)^k with k in {1, 2}:
+the product shapes have a unit guard and one addend holding the clause
+factors, the sum-of-squares shapes a unit guard, one addend per clause and
+k = 2, and the forall-first shapes the guard bracket over selector addends,
+each starting with its selector. A deserialized equation is its expanded
+polynomial in the guard with one empty addend. Expanding, substituting,
+evaluating, degree counting and LaTeX all walk this layout, and the expanded
+polynomial is computed lazily. The facts each shape needs of its input and
+its layout are in one table, SHAPE_SPECS.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, Mapping
 
 from .errors import (
@@ -64,107 +72,147 @@ class Shape(enum.Enum):
     AE3_Q = "AE3_Q"
 
 
-_PRODUCT_SHAPES = {Shape.EA_C, Shape.E_R}
-_SUM_SQ_SHAPES = {Shape.Ed_R, Shape.E3d_Q}
-_GUARDED_SHAPES = {Shape.AE_C, Shape.AE_R, Shape.AE3_Q}
+def _is_unit(p: MultiPoly) -> bool:
+    return len(p.terms) == 1 and p.terms.get(()) == 1
 
 
 @dataclass
 class QuantifiedEquation:
-    """A quantifier prefix over one polynomial equation, plus its layout.
-
-    Exactly one layout group is populated, keyed by shape: `factors` for the
-    product shapes, `brackets` for the sum-of-squares shapes, and
-    `guard`/`addends` for the guarded-sum shapes (each addend a tuple of
-    small factors whose product is one selector summand).
-    """
+    """A quantifier prefix over one polynomial equation, kept in the layout
+    guard * sum_i (prod_j f_ij)^power; `addends` holds one tuple of small
+    factors f_ij per addend and a missing guard is the unit."""
 
     field: Field
     prefix: tuple
     shape: Shape
     ring: PolyRing = dc_field(repr=False)
-    factors: tuple = ()
-    brackets: tuple = ()
     guard: MultiPoly | None = None
     addends: tuple = ()
+    power: int = 1
     provenance: ClauseMatrix | None = None
     _equation: MultiPoly | None = dc_field(default=None, repr=False)
     # cache for provenance re-derivation checks done by the structured deciders
     _rebuilt: "QuantifiedEquation | None" = dc_field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.guard is None:
+            self.guard = self.ring.one
+
     def quantified_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.prefix)
 
     def is_opaque(self) -> bool:
-        """True for deserialized equations that carry only the expanded
-        polynomial, with no construction layout."""
-        return (
-            self._equation is not None
-            and not self.factors
-            and not self.brackets
-            and self.guard is None
-        )
+        """True for deserialized equations, which carry only the expanded
+        polynomial (in the guard, over one empty addend)."""
+        return self.addends == ((),)
 
     def free_names(self) -> tuple[str, ...]:
         return self.ring.table.free_names()
 
+    def addend_values(self, fmap: Callable) -> list:
+        """prod_j fmap(f_ij) per addend i, for a per-factor map: the
+        identity, a substitution or an evaluation. An empty product maps 1."""
+        return [reduce(mul, map(fmap, a or (self.ring.one,))) for a in self.addends]
+
+    def fold(self, fmap: Callable):
+        """fmap(guard) * sum_i (prod_j fmap(f_ij))^power: the equation under
+        a per-factor map, multiplied out after mapping the small factors."""
+        values = [v * v if self.power == 2 else v for v in self.addend_values(fmap)]
+        total = sum(values[1:], values[0]) if values else fmap(self.ring.zero)
+        return total if _is_unit(self.guard) else fmap(self.guard) * total
+
     @property
     def equation(self) -> MultiPoly:
         if self._equation is None:
-            self._equation = self._expand({})
+            self._equation = self.fold(lambda p: p)
         return self._equation
-
-    def _expand(self, x: Mapping) -> MultiPoly:
-        sub = (lambda p: p.substitute(x)) if x else (lambda p: p)
-        ring = self.ring
-        if self.is_opaque():
-            return sub(self._equation)
-        if self.shape in _PRODUCT_SHAPES:
-            out = ring.one
-            for f in self.factors:
-                out = out * sub(f)
-            return out
-        if self.shape in _SUM_SQ_SHAPES:
-            out = ring.zero
-            for bracket in self.brackets:
-                b = ring.one
-                for f in bracket:
-                    b = b * sub(f)
-                out = out + b * b
-            return out
-        total = ring.zero
-        for addend in self.addends:
-            part = ring.one
-            for f in addend:
-                part = part * sub(f)
-            total = total + part
-        return sub(self.guard) * total
 
     def substituted_equation(self, x: Mapping) -> MultiPoly:
         """Expanded equation after substituting free variables; kept small by
         substituting into the layout factors before multiplying out."""
-        return self._expand(dict(x))
+        x = dict(x)
+        return self.fold(lambda p: p.substitute(x))
 
-    def substituted_brackets(self, x: Mapping) -> list[MultiPoly]:
-        out = []
-        for bracket in self.brackets:
-            b = self.ring.one
-            for f in bracket:
-                b = b * f.substitute(x)
-            out.append(b)
-        return out
 
-    def substituted_factors(self, x: Mapping) -> list[MultiPoly]:
-        return [f.substitute(x) for f in self.factors]
+# -- the shape table -----------------------------------------------------------
 
-    def substituted_guard_and_addends(self, x: Mapping) -> tuple[MultiPoly, list[MultiPoly]]:
-        parts = []
-        for addend in self.addends:
-            p = self.ring.one
-            for f in addend:
-                p = p * f.substitute(x)
-            parts.append(p)
-        return self.guard.substitute(x), parts
+
+@dataclass(frozen=True)
+class ShapeSpec:
+    """What a construction accepts and how its layout combines."""
+
+    kind: NormalForm  # the clause matrix it is built from
+    literals: frozenset  # literal relations its gadgets encode
+    fields: frozenset  # matrix fields it accepts
+    power: int  # k in guard * sum_i (prod_j f_ij)^k
+    bounds: Callable  # degree report counts -> {variable: (bound, exact)}
+    notes: tuple  # the witness recipe
+
+
+def _node_bound(c: dict) -> tuple:
+    """The forall variable of a selector sum over d nodes: 2d - 1, exact."""
+    return max(0, 2 * c["d"] - 1), c["d"] > 0
+
+
+_EQ_NEQ = frozenset((Rel.EQ0, Rel.NEQ0))
+_EQ_GT = frozenset((Rel.EQ0, Rel.GT0))
+_C = frozenset((Field.C,))
+_RQ = frozenset((Field.R, Field.Q))
+_Q = frozenset((Field.Q,))
+
+SHAPE_SPECS: dict[Shape, ShapeSpec] = {
+    Shape.EA_C: ShapeSpec(
+        NormalForm.DNF, _EQ_NEQ, _C, 1,
+        lambda c: {"a": (c["d"], True), "b": (c["e_total"], True)},
+        ("pick the first true clause i; a := 1/prod_k u_ik(x); any b works",),
+    ),
+    Shape.AE_C: ShapeSpec(
+        NormalForm.CNF, _EQ_NEQ, _C, 1,
+        lambda c: {"a": _node_bound(c), "b": (c["f_max"] + 1, False)},
+        (
+            "at a = node i: b := 0 if some t_ij(x) = 0, else b := 1/u_ik(x) for a nonzero u",
+            "at a outside the nodes: b := 1/prod_i (a - i)",
+        ),
+    ),
+    Shape.E_R: ShapeSpec(
+        NormalForm.DNF, _EQ_NEQ, _RQ, 1,
+        lambda c: {"r": (2 * c["d"], True)},
+        ("pick the first true clause i; r := 1/prod_k u_ik(x)",),
+    ),
+    Shape.Ed_R: ShapeSpec(
+        NormalForm.CNF, _EQ_GT, _RQ, 2,
+        lambda c: {f"r{i+1}": (4 * f, False) for i, f in enumerate(c["f"])},
+        ("clause i: r_i := 0 if some t_ij(x) = 0, else r_i := sqrt(1/u_ik(x)) for a positive u",),
+    ),
+    Shape.AE_R: ShapeSpec(
+        NormalForm.CNF, _EQ_GT, _RQ, 1,
+        lambda c: {"r": _node_bound(c), "s": (2 * c["f_max"] + 1, False)},
+        (
+            "at r = node i: s := 0 on a zero equation, else s := sqrt(1/u_ik(x))",
+            "at r outside the nodes: s := 1/prod_i (r - i)",
+        ),
+    ),
+    Shape.E3d_Q: ShapeSpec(
+        NormalForm.CNF, _EQ_GT, _Q, 2,
+        lambda c: {
+            f"v{3*i+k}": (8 * f, False) for i, f in enumerate(c["f"]) for k in (1, 2, 3)
+        },
+        ("clause i: block i := (0,0,0) on a zero equation, else the three-squares triple for u_ik(x)",),
+    ),
+    Shape.AE3_Q: ShapeSpec(
+        NormalForm.CNF, _EQ_GT, _Q, 1,
+        lambda c: {
+            "v": _node_bound(c),
+            "w1": (4 * c["f_max"] + 1, False),
+            "w2": (4 * c["f_max"], False),
+            "w3": (4 * c["f_max"], False),
+        },
+        (
+            "at v = node i: w := (0,0,0) on a zero equation, else the three-squares triple",
+            "at v outside the nodes: w1 := 1/prod_i (v - i), w2 = w3 = 0",
+        ),
+    ),
+}
 
 
 # -- construction helpers -----------------------------------------------------
@@ -188,28 +236,6 @@ def _nodes_product(v: MultiPoly, d: int) -> MultiPoly:
     return out
 
 
-def _require_kind(m: ClauseMatrix, kind: NormalForm, what: str):
-    if m.kind is not kind:
-        raise WrongKindError(f"{what} takes a {kind.value} matrix, got {m.kind.value}")
-
-
-def _require_literals(m: ClauseMatrix, allowed: frozenset, what: str):
-    for cl in m.clauses:
-        for a in cl:
-            if a.rel not in allowed:
-                if a.rel is Rel.GT0:
-                    raise OrderLiteralError(f"{what} does not accept order literals")
-                raise NeqLiteralError(
-                    f"{what} needs inequations rewritten to order literals first"
-                )
-
-
-def _require_field(m: ClauseMatrix, allowed: frozenset, what: str):
-    if m.ring is not None and m.ring.field not in allowed:
-        names = "/".join(f.value for f in sorted(allowed, key=lambda f: f.value))
-        raise FieldMismatchError(f"{what} works over {names}, got {m.ring.field.value}")
-
-
 def _out_ring(m: ClauseMatrix, out_field: Field) -> PolyRing:
     ring = PolyRing(out_field)
     if m.ring is not None:
@@ -229,233 +255,133 @@ def _transplant(p: MultiPoly, ring: PolyRing) -> MultiPoly:
     return MultiPoly(ring, out)
 
 
-_EQ_NEQ = frozenset((Rel.EQ0, Rel.NEQ0))
-_EQ_GT = frozenset((Rel.EQ0, Rel.GT0))
+def _u_product(m: ClauseMatrix, i: int, ring: PolyRing) -> MultiPoly:
+    out = ring.one
+    for atom in m.ineqs(i):
+        out = out * _transplant(atom.term, ring)
+    return out
 
 
-# -- the seven constructions --------------------------------------------------
+def _gadget_base(ys: list) -> MultiPoly:
+    """W in the gadgets 1 - u*W: the variable itself over C, where the gadget
+    encodes u != 0, and a sum of squares over an ordered field, where it
+    encodes u > 0."""
+    if ys[0].ring.field is Field.C:
+        return ys[0]
+    return sum((y * y for y in ys[1:]), ys[0] * ys[0])
 
 
-def build_ea_c(m: ClauseMatrix) -> QuantifiedEquation:
-    """exists a forall b over C from a DNF matrix of =/!= literals."""
-    _require_kind(m, NormalForm.DNF, "build_ea_c")
-    _require_literals(m, _EQ_NEQ, "build_ea_c")
-    _require_field(m, frozenset((Field.C,)), "build_ea_c")
+def _clause_factors(m: ClauseMatrix, i: int, ring: PolyRing, w: MultiPoly) -> tuple:
+    """Clause i as factors: its equation terms, then the gadget 1 - u*w per
+    inequation or order term u. Over Q a second gadget 1 - 2*u*w follows,
+    since a positive rational is 1 or 1/2 times a sum of three squares."""
+    parts = [_transplant(atom.term, ring) for atom in m.eqs(i)]
+    for atom in m.ineqs(i):
+        uw = _transplant(atom.term, ring) * w
+        parts.append(ring.one - uw)
+        if ring.field is Field.Q:
+            parts.append(ring.one - 2 * uw)
+    return tuple(parts)
+
+
+# -- the constructions: each returns (ring, prefix, guard, addends) ------------
+
+
+def _build_ea_c(m: ClauseMatrix) -> tuple:
     ring = _out_ring(m, Field.C)
     a = ring.quantified("a")
     b = ring.quantified("b")
     factors = []
     for i in range(m.d):
-        u_prod = ring.one
-        for atom in m.ineqs(i):
-            u_prod = u_prod * _transplant(atom.term, ring)
-        f = ring.one - a * u_prod
+        f = ring.one - a * _u_product(m, i, ring)
         for j, atom in enumerate(m.eqs(i), start=1):
             f = f + _transplant(atom.term, ring) * b**j
         factors.append(f)
-    return QuantifiedEquation(
-        field=Field.C,
-        prefix=(("exists", "a"), ("forall", "b")),
-        shape=Shape.EA_C,
-        ring=ring,
-        factors=tuple(factors),
-        provenance=m,
-    )
+    return ring, (("exists", "a"), ("forall", "b")), None, (tuple(factors),)
 
 
-def build_ae_c(m: ClauseMatrix) -> QuantifiedEquation:
-    """forall a exists b over C from a CNF matrix of =/!= literals."""
-    _require_kind(m, NormalForm.CNF, "build_ae_c")
-    _require_literals(m, _EQ_NEQ, "build_ae_c")
-    _require_field(m, frozenset((Field.C,)), "build_ae_c")
-    ring = _out_ring(m, Field.C)
-    a = ring.quantified("a")
-    b = ring.quantified("b")
-    d = m.d
-    guard = ring.one - b * _nodes_product(a, d)
-    addends = []
-    for i in range(1, d + 1):
-        parts = [lagrange_selector(i, d, a)]
-        for atom in m.eqs(i - 1):
-            parts.append(_transplant(atom.term, ring))
-        for atom in m.ineqs(i - 1):
-            parts.append(ring.one - b * _transplant(atom.term, ring))
-        addends.append(tuple(parts))
-    return QuantifiedEquation(
-        field=Field.C,
-        prefix=(("forall", "a"), ("exists", "b")),
-        shape=Shape.AE_C,
-        ring=ring,
-        guard=guard,
-        addends=tuple(addends),
-        provenance=m,
-    )
-
-
-def build_e_r(m: ClauseMatrix) -> QuantifiedEquation:
-    """exists r over an ordered field from a DNF matrix of =/!= literals."""
-    _require_kind(m, NormalForm.DNF, "build_e_r")
-    _require_literals(m, _EQ_NEQ, "build_e_r")
-    _require_field(m, frozenset((Field.R, Field.Q)), "build_e_r")
-    fld = m.ring.field if m.ring is not None else Field.R
-    ring = _out_ring(m, fld)
+def _build_e_r(m: ClauseMatrix) -> tuple:
+    ring = _out_ring(m, m.ring.field if m.ring is not None else Field.R)
     r = ring.quantified("r")
     factors = []
     for i in range(m.d):
-        u_prod = ring.one
-        for atom in m.ineqs(i):
-            u_prod = u_prod * _transplant(atom.term, ring)
-        gadget = ring.one - r * u_prod
+        gadget = ring.one - r * _u_product(m, i, ring)
         f = gadget * gadget
         for atom in m.eqs(i):
             t = _transplant(atom.term, ring)
             f = f + t * t
         factors.append(f)
-    return QuantifiedEquation(
-        field=fld,
-        prefix=(("exists", "r"),),
-        shape=Shape.E_R,
-        ring=ring,
-        factors=tuple(factors),
-        provenance=m,
-    )
+    return ring, (("exists", "r"),), None, (tuple(factors),)
 
 
-def build_ed_r(m: ClauseMatrix) -> QuantifiedEquation:
-    """exists r_1..r_d over R from a CNF matrix of =/"">" literals.
-
-    The quantifiers range over the reals regardless of whether the matrix
-    coefficients were tagged R or Q: the square-root witnesses live in R.
-    """
-    _require_kind(m, NormalForm.CNF, "build_ed_r")
-    _require_literals(m, _EQ_GT, "build_ed_r")
-    _require_field(m, frozenset((Field.R, Field.Q)), "build_ed_r")
-    ring = _out_ring(m, Field.R)
-    brackets = []
-    prefix = []
+def _build_brackets(m: ClauseMatrix, fld: Field, names: Callable) -> tuple:
+    """Sum-of-squares shapes: clause i is one addend over its own exists
+    variables names(i). Over R these are r_i, whose square-root witnesses
+    live in R whether the matrix was tagged R or Q."""
+    ring = _out_ring(m, fld)
+    prefix, addends = [], []
     for i in range(m.d):
-        r_i = ring.quantified(f"r{i+1}")
-        prefix.append(("exists", f"r{i+1}"))
-        parts = [_transplant(atom.term, ring) for atom in m.eqs(i)]
-        for atom in m.ineqs(i):
-            parts.append(ring.one - r_i * r_i * _transplant(atom.term, ring))
-        brackets.append(tuple(parts))
-    return QuantifiedEquation(
-        field=Field.R,
-        prefix=tuple(prefix),
-        shape=Shape.Ed_R,
-        ring=ring,
-        brackets=tuple(brackets),
-        provenance=m,
-    )
+        ys = [ring.quantified(n) for n in names(i)]
+        prefix.extend(("exists", n) for n in names(i))
+        addends.append(_clause_factors(m, i, ring, _gadget_base(ys)))
+    return ring, tuple(prefix), None, addends
 
 
-def build_ae_r(m: ClauseMatrix) -> QuantifiedEquation:
-    """forall r exists s over R from a CNF matrix of =/"">" literals."""
-    _require_kind(m, NormalForm.CNF, "build_ae_r")
-    _require_literals(m, _EQ_GT, "build_ae_r")
-    _require_field(m, frozenset((Field.R, Field.Q)), "build_ae_r")
-    ring = _out_ring(m, Field.R)
-    r = ring.quantified("r")
-    s = ring.quantified("s")
+def _build_guarded(m: ClauseMatrix, fld: Field, univ: str, exists: tuple) -> tuple:
+    """Forall-first shapes: the guard 1 - y1*prod_i (z - i) vanishes off the
+    nodes, and at node i the selector sum leaves clause i's factors."""
+    ring = _out_ring(m, fld)
+    z = ring.quantified(univ)
+    ys = [ring.quantified(n) for n in exists]
+    w = _gadget_base(ys)
     d = m.d
-    guard = ring.one - s * _nodes_product(r, d)
-    addends = []
-    for i in range(1, d + 1):
-        parts = [lagrange_selector(i, d, r)]
-        for atom in m.eqs(i - 1):
-            parts.append(_transplant(atom.term, ring))
-        for atom in m.ineqs(i - 1):
-            parts.append(ring.one - s * s * _transplant(atom.term, ring))
-        addends.append(tuple(parts))
-    return QuantifiedEquation(
-        field=Field.R,
-        prefix=(("forall", "r"), ("exists", "s")),
-        shape=Shape.AE_R,
-        ring=ring,
-        guard=guard,
-        addends=tuple(addends),
-        provenance=m,
-    )
+    guard = ring.one - ys[0] * _nodes_product(z, d)
+    addends = [
+        (lagrange_selector(i, d, z), *_clause_factors(m, i - 1, ring, w))
+        for i in range(1, d + 1)
+    ]
+    prefix = (("forall", univ), *(("exists", n) for n in exists))
+    return ring, prefix, guard, addends
 
 
-def build_e3d_q(m: ClauseMatrix) -> QuantifiedEquation:
-    """exists v_1..v_3d over Q from a CNF matrix of =/"">" literals."""
-    _require_kind(m, NormalForm.CNF, "build_e3d_q")
-    _require_literals(m, _EQ_GT, "build_e3d_q")
-    _require_field(m, frozenset((Field.Q,)), "build_e3d_q")
-    ring = _out_ring(m, Field.Q)
-    brackets = []
-    prefix = []
-    for i in range(m.d):
-        vs = [ring.quantified(f"v{3*i+k}") for k in (1, 2, 3)]
-        prefix.extend(("exists", f"v{3*i+k}") for k in (1, 2, 3))
-        v_sq = vs[0] * vs[0] + vs[1] * vs[1] + vs[2] * vs[2]
-        parts = [_transplant(atom.term, ring) for atom in m.eqs(i)]
-        for atom in m.ineqs(i):
-            u = _transplant(atom.term, ring)
-            parts.append(ring.one - u * v_sq)
-            parts.append(ring.one - 2 * u * v_sq)
-        brackets.append(tuple(parts))
-    return QuantifiedEquation(
-        field=Field.Q,
-        prefix=tuple(prefix),
-        shape=Shape.E3d_Q,
-        ring=ring,
-        brackets=tuple(brackets),
-        provenance=m,
-    )
-
-
-def build_ae3_q(m: ClauseMatrix) -> QuantifiedEquation:
-    """forall v exists w1 w2 w3 over Q from a CNF matrix of =/"">" literals."""
-    _require_kind(m, NormalForm.CNF, "build_ae3_q")
-    _require_literals(m, _EQ_GT, "build_ae3_q")
-    _require_field(m, frozenset((Field.Q,)), "build_ae3_q")
-    ring = _out_ring(m, Field.Q)
-    v = ring.quantified("v")
-    ws = [ring.quantified(f"w{k}") for k in (1, 2, 3)]
-    w_sq = ws[0] * ws[0] + ws[1] * ws[1] + ws[2] * ws[2]
-    d = m.d
-    guard = ring.one - ws[0] * _nodes_product(v, d)
-    addends = []
-    for i in range(1, d + 1):
-        parts = [lagrange_selector(i, d, v)]
-        for atom in m.eqs(i - 1):
-            parts.append(_transplant(atom.term, ring))
-        for atom in m.ineqs(i - 1):
-            u = _transplant(atom.term, ring)
-            parts.append(ring.one - u * w_sq)
-            parts.append(ring.one - 2 * u * w_sq)
-        addends.append(tuple(parts))
-    return QuantifiedEquation(
-        field=Field.Q,
-        prefix=(("forall", "v"), ("exists", "w1"), ("exists", "w2"), ("exists", "w3")),
-        shape=Shape.AE3_Q,
-        ring=ring,
-        guard=guard,
-        addends=tuple(addends),
-        provenance=m,
-    )
-
-
-_BUILDERS: dict[Shape, Callable[[ClauseMatrix], QuantifiedEquation]] = {
-    Shape.EA_C: build_ea_c,
-    Shape.AE_C: build_ae_c,
-    Shape.E_R: build_e_r,
-    Shape.Ed_R: build_ed_r,
-    Shape.AE_R: build_ae_r,
-    Shape.E3d_Q: build_e3d_q,
-    Shape.AE3_Q: build_ae3_q,
+_BUILDERS: dict[Shape, Callable[[ClauseMatrix], tuple]] = {
+    Shape.EA_C: _build_ea_c,
+    Shape.AE_C: lambda m: _build_guarded(m, Field.C, "a", ("b",)),
+    Shape.E_R: _build_e_r,
+    Shape.Ed_R: lambda m: _build_brackets(m, Field.R, lambda i: (f"r{i+1}",)),
+    Shape.AE_R: lambda m: _build_guarded(m, Field.R, "r", ("s",)),
+    Shape.E3d_Q: lambda m: _build_brackets(
+        m, Field.Q, lambda i: tuple(f"v{3*i+k}" for k in (1, 2, 3))
+    ),
+    Shape.AE3_Q: lambda m: _build_guarded(m, Field.Q, "v", ("w1", "w2", "w3")),
 }
 
 
 def build_for_shape(shape: Shape, m: ClauseMatrix) -> QuantifiedEquation:
-    return _BUILDERS[shape](m)
-
-
-def builder_for_shape(shape: Shape) -> Callable[[ClauseMatrix], QuantifiedEquation]:
-    return _BUILDERS[shape]
+    """Check the matrix against the shape's spec, then construct."""
+    spec = SHAPE_SPECS[shape]
+    what = f"the {shape.value} construction"
+    if m.kind is not spec.kind:
+        raise WrongKindError(f"{what} takes a {spec.kind.value} matrix, got {m.kind.value}")
+    bad = m.rels_used() - spec.literals
+    if Rel.GT0 in bad:
+        raise OrderLiteralError(f"{what} does not accept order literals")
+    if bad:
+        raise NeqLiteralError(f"{what} needs inequations rewritten to order literals first")
+    if m.ring is not None and m.ring.field not in spec.fields:
+        names = "/".join(sorted(f.value for f in spec.fields))
+        raise FieldMismatchError(f"{what} works over {names}, got {m.ring.field.value}")
+    ring, prefix, guard, addends = _BUILDERS[shape](m)
+    return QuantifiedEquation(
+        field=ring.field,
+        prefix=prefix,
+        shape=shape,
+        ring=ring,
+        guard=guard,
+        addends=tuple(addends),
+        power=spec.power,
+        provenance=m,
+    )
 
 
 # -- degree reports ------------------------------------------------------------
@@ -538,7 +464,7 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
             if val:
                 return m
         if expanded is None:
-            expanded = [_tail_product(tail, ring) for tail in tails]
+            expanded = [reduce(mul, tail, ring.one) for tail in tails]
         coeff = ring.zero
         for i in range(d):
             if sigma[i]:
@@ -548,44 +474,29 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
     return None
 
 
-def _tail_product(tail, ring: PolyRing) -> MultiPoly:
-    p = ring.one
-    for f in tail:
-        p = p * f
-    return p
-
-
 def _deg(p: MultiPoly, name: str) -> int:
     d = p.degree_in(name)
     return int(d) if d > 0 else 0
 
 
 def _measured_degrees(qe: QuantifiedEquation) -> dict:
+    """deg(guard) + power * max_i sum_j deg f_ij per quantified variable; the
+    forall variable of a forall-first prefix takes the exact degree of the
+    selector sum instead of the addend bound."""
     names = qe.quantified_names()
-    out: dict = {}
-    if qe.is_opaque():
-        return {z: max(0, _deg(qe.equation, z)) for z in names}
-    if qe.shape in _PRODUCT_SHAPES:
-        for z in names:
-            out[z] = sum(_deg(f, z) for f in qe.factors)
-        return out
-    if qe.shape in _SUM_SQ_SHAPES:
-        for z in names:
-            out[z] = max(
-                (2 * sum(_deg(f, z) for f in bracket) for bracket in qe.brackets),
-                default=0,
-            )
-        return out
     if not qe.addends:
         return {z: 0 for z in names}
-    zu = qe.prefix[0][1]
-    s_deg = _universal_degree(qe, zu)
-    if s_deg is None:
-        return {z: 0 for z in names}
-    out[zu] = _deg(qe.guard, zu) + s_deg
-    for z in names[1:]:
-        inner = max(sum(_deg(f, z) for f in addend) for addend in qe.addends)
-        out[z] = _deg(qe.guard, z) + inner
+    out = {
+        z: _deg(qe.guard, z)
+        + qe.power * max(sum(_deg(f, z) for f in addend) for addend in qe.addends)
+        for z in names
+    }
+    if qe.prefix and qe.prefix[0][0] == "forall":
+        zu = names[0]
+        s_deg = _universal_degree(qe, zu)
+        if s_deg is None:
+            return {z: 0 for z in names}
+        out[zu] = _deg(qe.guard, zu) + s_deg
     return out
 
 
@@ -612,33 +523,10 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
         "raw_d": m.raw_clause_count,
     }
     degrees = _measured_degrees(qe)
-    bounds: dict = {}
-    exact: dict = {}
-    shape = qe.shape
-    if shape is Shape.EA_C:
-        bounds["a"], exact["a"] = d, True
-        bounds["b"], exact["b"] = e_total, True
-    elif shape is Shape.AE_C:
-        bounds["a"], exact["a"] = max(0, 2 * d - 1), d > 0
-        bounds["b"], exact["b"] = f_max + 1, False
-    elif shape is Shape.E_R:
-        bounds["r"], exact["r"] = 2 * d, True
-    elif shape is Shape.Ed_R:
-        for i in range(d):
-            bounds[f"r{i+1}"], exact[f"r{i+1}"] = 4 * f_counts[i], False
-    elif shape is Shape.AE_R:
-        bounds["r"], exact["r"] = max(0, 2 * d - 1), d > 0
-        bounds["s"], exact["s"] = 2 * f_max + 1, False
-    elif shape is Shape.E3d_Q:
-        for i in range(d):
-            for k in (1, 2, 3):
-                bounds[f"v{3*i+k}"], exact[f"v{3*i+k}"] = 8 * f_counts[i], False
-    elif shape is Shape.AE3_Q:
-        bounds["v"], exact["v"] = max(0, 2 * d - 1), d > 0
-        bounds["w1"], exact["w1"] = 4 * f_max + 1, False
-        bounds["w2"], exact["w2"] = 4 * f_max, False
-        bounds["w3"], exact["w3"] = 4 * f_max, False
-    if not qe.addends and shape in _GUARDED_SHAPES and d == 0:
+    claims = SHAPE_SPECS[qe.shape].bounds(counts)
+    bounds = {z: b for z, (b, _) in claims.items()}
+    exact = {z: e for z, (_, e) in claims.items()}
+    if d == 0:  # an empty matrix: every degree is exactly 0
         bounds = {z: 0 for z in degrees}
         exact = {z: True for z in degrees}
     ok = True
@@ -648,7 +536,7 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
             ok = ok and dv == b
         else:
             ok = ok and dv <= b
-    return DegreeReport(shape, degrees, bounds, exact, counts, ok)
+    return DegreeReport(qe.shape, degrees, bounds, exact, counts, ok)
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -676,38 +564,10 @@ class WitnessRecipe:
     notes: tuple
 
 
-_RECIPE_NOTES = {
-    Shape.EA_C: (
-        "pick the first true clause i; a := 1/prod_k u_ik(x); any b works",
-    ),
-    Shape.AE_C: (
-        "at a = node i: b := 0 if some t_ij(x) = 0, else b := 1/u_ik(x) for a nonzero u",
-        "at a outside the nodes: b := 1/prod_i (a - i)",
-    ),
-    Shape.E_R: (
-        "pick the first true clause i; r := 1/prod_k u_ik(x)",
-    ),
-    Shape.Ed_R: (
-        "clause i: r_i := 0 if some t_ij(x) = 0, else r_i := sqrt(1/u_ik(x)) for a positive u",
-    ),
-    Shape.AE_R: (
-        "at r = node i: s := 0 on a zero equation, else s := sqrt(1/u_ik(x))",
-        "at r outside the nodes: s := 1/prod_i (r - i)",
-    ),
-    Shape.E3d_Q: (
-        "clause i: block i := (0,0,0) on a zero equation, else the three-squares triple for u_ik(x)",
-    ),
-    Shape.AE3_Q: (
-        "at v = node i: w := (0,0,0) on a zero equation, else the three-squares triple",
-        "at v outside the nodes: w1 := 1/prod_i (v - i), w2 = w3 = 0",
-    ),
-}
-
-
 def witness_recipe(qe: QuantifiedEquation) -> WitnessRecipe:
     if qe.provenance is None:
         raise ValueError("witness recipe needs the provenance matrix")
-    return WitnessRecipe(qe.shape, qe.provenance, qe.field, _RECIPE_NOTES[qe.shape])
+    return WitnessRecipe(qe.shape, qe.provenance, qe.field, SHAPE_SPECS[qe.shape].notes)
 
 
 def _clause_true(m: ClauseMatrix, i: int, x: Mapping) -> bool:
@@ -905,6 +765,8 @@ def from_json(text: str) -> QuantifiedEquation:
         prefix=prefix,
         shape=shape,
         ring=ring,
+        guard=eq,
+        addends=((),),
         provenance=provenance,
     )
     qe._equation = eq
@@ -926,20 +788,17 @@ def to_latex(qe: QuantifiedEquation) -> str:
     head = "\\, ".join(f"{_QUANT_TEX[q]} {n}" for q, n in qe.prefix)
     if head:
         head += "\\; "
-    if qe.shape in _PRODUCT_SHAPES:
+    unit_guard = _is_unit(qe.guard)
+    if unit_guard and qe.power == 1:
+        # a bare product: one bracket per clause factor
         body = "".join(
-            f"\\Big[{render_poly_latex(f, names)}\\Big]" for f in qe.factors
+            f"\\Big[{render_poly_latex(f, names)}\\Big]" for a in qe.addends for f in a
         ) or "1"
-    elif qe.shape in _SUM_SQ_SHAPES:
-        pieces = []
-        for bracket in qe.brackets:
-            inner = "".join(_latex_factor(f, names) for f in bracket) or "1"
-            pieces.append(f"\\Big[{inner}\\Big]^2")
-        body = " + ".join(pieces) or "0"
     else:
-        addends = []
-        for addend in qe.addends:
-            addends.append("".join(_latex_factor(f, names) for f in addend) or "1")
-        inner = " + ".join(addends) or "0"
-        body = f"\\Big[{render_poly_latex(qe.guard, names)}\\Big]\\Big[{inner}\\Big]"
+        parts = ["".join(_latex_factor(f, names) for f in a) or "1" for a in qe.addends]
+        if qe.power == 2:
+            parts = [f"\\Big[{p}\\Big]^2" for p in parts]
+        body = " + ".join(parts) or "0"
+        if not unit_guard:
+            body = f"\\Big[{render_poly_latex(qe.guard, names)}\\Big]\\Big[{body}\\Big]"
     return f"{head}{body} = 0"

@@ -23,21 +23,6 @@ def rat(num: int, den: int = 1) -> Fraction:
     return Fraction(num, den)
 
 
-def rat_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Dispatch add|sub|mul|div on rationals. Division by zero raises."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -118,7 +103,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to the rational it equals, so mixed dict keys agree
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -140,18 +126,6 @@ IMAG_UNIT = GaussianRational(Fraction(0), Fraction(1))
 
 def gaussian(re, im=0) -> GaussianRational:
     return GaussianRational(_as_fraction(re), _as_fraction(im))
-
-
-def gaussian_arith(a: GaussianRational, b: GaussianRational, op: str) -> GaussianRational:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def is_sum_three_squares(n: int) -> bool:

@@ -91,7 +91,7 @@ def build_case(case: FixtureCase) -> QuantifiedEquation:
 
 
 def rendered_equation(qe: QuantifiedEquation) -> str:
-    return render_poly(qe.equation, qe.prefix)
+    return render_poly(qe.equation, qe.quantified_names())
 
 
 # -- quadrant projection fixtures ------------------------------------------------
@@ -114,7 +114,7 @@ def quadrant_fixture(simplified: bool = True) -> QuantifiedEquation:
         prefix=(("exists", "r"),),
         shape=Shape.E_R,
         ring=ring,
-        factors=(eq,),
+        addends=((eq,),),
     )
 
 

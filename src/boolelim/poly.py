@@ -351,16 +351,6 @@ class MultiPoly:
         return f"<poly {self.render()}>"
 
 
-def poly_arith(p: MultiPoly, q: MultiPoly, op: str) -> MultiPoly:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
 # -- canonical rendering ---------------------------------------------------
 
 

@@ -277,3 +277,43 @@ def test_parse_point_and_grid():
         _parse_grid("2:1:1")
     with pytest.raises(ValueError):
         _parse_grid("0:1:0")
+
+
+def test_decide_reads_the_whole_eliminate_payload(tmp_path):
+    """The README workflow: eliminate --output json > eq.json, then decide."""
+    f = write(tmp_path, "f.txt", CROSS_NEQ)
+    _, payload = run(
+        ["eliminate", "--field", "c", "--form", "ea", "--input", f, "--output", "json"]
+    )
+    eq = write(tmp_path, "eq.json", payload)
+    assert run(["decide", "--input", eq, "--point", "y=0,z=3"]) == (EXIT_OK, "TRUE\n")
+    assert run(["decide", "--input", eq, "--point", "y=1,z=1"]) == (EXIT_OK, "FALSE\n")
+    _, payload = run(
+        ["eliminate", "--field", "r", "--form", "e", "--input", f, "--output", "json"]
+    )
+    eq = write(tmp_path, "eq.json", payload)
+    code, got = run(["plot", "--input", eq, "--grid=-1:1:1"])
+    assert code == EXIT_OK and got.splitlines()[0] == "y,z,has_real_root"
+
+
+def _bare_e_r_equation(tmp_path):
+    f = write(tmp_path, "f.txt", CROSS_NEQ)
+    _, payload = run(
+        ["eliminate", "--field", "r", "--form", "e", "--input", f, "--output", "json"]
+    )
+    return write(tmp_path, "eq.json", json.dumps(json.loads(payload)["equation"]))
+
+
+def test_decide_point_missing_a_variable_is_an_input_error(tmp_path):
+    eq = _bare_e_r_equation(tmp_path)
+    assert run(["decide", "--input", eq, "--point", "y=1"])[0] == EXIT_PARSE
+
+
+def test_decide_point_with_zero_denominator_is_an_input_error(tmp_path):
+    eq = _bare_e_r_equation(tmp_path)
+    assert run(["decide", "--input", eq, "--point", "y=1,z=1/0"])[0] == EXIT_PARSE
+
+
+def test_free_variable_named_like_a_quantifier_is_incompatible(tmp_path):
+    f = write(tmp_path, "f.txt", "a = 0")
+    assert run(["eliminate", "--field", "c", "--form", "ea", "--input", f])[0] == EXIT_INCOMPATIBLE

@@ -447,3 +447,30 @@ def test_verdict_and_plan_validation():
         SamplePlan(seed=1, count=0)
     v = Verdict(VerdictKind.TRUE)
     assert str(v) == "TRUE"
+
+
+# -- the layout walk ------------------------------------------------------------------
+
+
+def test_layout_walk_matches_expanded_equation():
+    """Evaluating and substituting through the layout agree with the expanded
+    polynomial at full points, where a dropped power or guard would show
+    (a witness check cannot see a dropped square: 0^2 = 0)."""
+    from boolelim.decide import _eval_poly
+    from boolelim.elim import from_json, to_json
+
+    rng = random.Random(46)
+    for shape, (fld, _, _) in SHAPE_SETUPS.items():
+        for seed in range(4):
+            _, qe = built(shape, seed, clauses=1 + seed % 3)
+            for eq in (qe, from_json(to_json(qe))):
+                frees = list(eq.free_names())
+                for _ in range(3):
+                    x = sample_point(rng, fld, frees)
+                    full = {**x, **sample_point(rng, fld, eq.quantified_names(), bound=3)}
+                    value = eq.equation.evaluate(full)
+                    assert eq.fold(lambda f: _eval_poly(f, full)) == value, (shape, seed)
+                    exists = {n: full[n] for q, n in eq.prefix if q == "exists"}
+                    frees_and_forall = {n: v for n, v in full.items() if n not in exists}
+                    assert check_witness(eq, frees_and_forall, exists) == (value == 0)
+                    assert eq.substituted_equation(x) == eq.equation.substitute(x), (shape, seed)

@@ -354,3 +354,37 @@ def test_substituted_equation_binds_frees():
     qe = build_case(GOLDEN_CASES[2])
     fixed = qe.substituted_equation({"y": Fraction(0), "z": Fraction(2)})
     assert fixed.variables() == {"r"}
+
+
+def test_text_rendering_orders_quantifiers_like_json():
+    """Text renders the quantified variables in prefix order, as JSON does:
+    with d = 4 the E3d_Q names run to v12, which sorts before v2 by name."""
+    import io
+    import sys
+
+    from boolelim.cli import main
+
+    text = r"(x > 0 \/ y = 0) /\ (y > 0) /\ (x + y > 0) /\ (x - y > 0 \/ x = 0)"
+    qe = build_for_shape(Shape.E3d_Q, to_cnf(parse(text, Field.Q)))
+    assert qe.provenance.d == 4
+    names = qe.quantified_names()
+    assert rendered_equation(qe) == render_poly(qe.equation, names)
+    assert rendered_equation(qe) == json.loads(to_json(qe))["equation"]
+    assert rendered_equation(qe) != render_poly(qe.equation, ())
+    out = io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        assert main(["eliminate", "--field", "q", "--form", "e3d"], out=out) == 0
+    finally:
+        sys.stdin = saved
+    first = out.getvalue().splitlines()[0]
+    assert first == f"{' '.join(f'exists {n}' for n in names)}: {rendered_equation(qe)} = 0"
+
+
+def test_latex_of_deserialized_equation_shows_the_polynomial():
+    from boolelim.poly import render_poly_latex
+
+    for case in GOLDEN_CASES:
+        back = from_json(to_json(build_case(case)))
+        body = render_poly_latex(back.equation, back.quantified_names())
+        assert f"\\Big[{body}\\Big]" in to_latex(back), case.name

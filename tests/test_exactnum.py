@@ -120,3 +120,11 @@ def test_positivity_witness_rejects_nonpositive():
         positivity_witness_q(Fraction(0))
     with pytest.raises(NotPositiveError):
         positivity_witness_q(Fraction(-2, 3))
+
+
+def test_gaussian_hash_agrees_with_equal_rationals():
+    for q in (0, 1, -3, Fraction(2, 7)):
+        assert GaussianRational.of(q) == q
+        assert hash(GaussianRational.of(q)) == hash(q)
+    assert {GaussianRational.of(1): "one"}[1] == "one"
+    assert gaussian(1, 1) != 1
