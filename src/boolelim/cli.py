@@ -355,7 +355,7 @@ def _cmd_selftest(args, out) -> int:
 
 
 def _cmd_plot(args, out) -> int:
-    from .decide import decide_e_r
+    from .decide import has_real_root
 
     if args.fixture:
         qe = quadrant_fixture(simplified=args.fixture == "quadrant")
@@ -374,17 +374,17 @@ def _cmd_plot(args, out) -> int:
     print(f"{ycol},{zcol},has_real_root", file=out)
     for yv in grid_points(lo, hi, step):
         for zv in grid_points(lo, hi, step):
-            hit = decide_e_r(qe, {ycol: yv, zcol: zv})
+            hit = has_real_root(qe, {ycol: yv, zcol: zv})
             print(f"{yv},{zv},{1 if hit else 0}", file=out)
     return EXIT_OK
 
 
-def _add_common(sp, need_form=True):
-    if need_form:
-        sp.add_argument("--field", choices=["c", "r", "q"], required=True)
-        sp.add_argument("--form", choices=sorted({f for f, _ in _FORM_SHAPE}), required=True)
-    sp.add_argument("--input", default="-", help="formula or equation file, - for stdin")
-    sp.add_argument("--output", choices=["json", "latex", "text"], default="text")
+def _add_common(sp, outputs=()):
+    sp.add_argument("--field", choices=["c", "r", "q"], required=True)
+    sp.add_argument("--form", choices=sorted({f for f, _ in _FORM_SHAPE}), required=True)
+    sp.add_argument("--input", default="-", help="formula file, - for stdin")
+    if outputs:
+        sp.add_argument("--output", choices=outputs, default="text")
     sp.add_argument("--clause-limit", type=int, default=DEFAULT_CLAUSE_LIMIT)
 
 
@@ -393,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("eliminate", help="compile a formula to a quantified equation")
-    _add_common(sp)
+    _add_common(sp, ["json", "latex", "text"])
 
     sp = sub.add_parser("report", help="degree report for the compiled equation")
-    _add_common(sp)
+    _add_common(sp, ["json", "text"])
 
     sp = sub.add_parser("decide", help="decide a serialized equation at a point")
-    _add_common(sp, need_form=False)
+    sp.add_argument("--input", default="-", help="equation file, - for stdin")
     sp.add_argument("--point", default="", help="comma separated name=value")
     sp.add_argument("--refute", action="store_true", help="sample the universal variable")
     sp.add_argument("--seed", type=int, default=None)

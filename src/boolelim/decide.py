@@ -5,12 +5,15 @@ iff the b-coefficients share a root (all zero, or a nonconstant gcd), and
 "forall a exists b" fails only where every positive-degree b-coefficient
 vanishes while the constant one does not, which reduces to a gcd and
 squarefree computation. Over R the single-exists form is decided by Sturm
-counting. The per-conjunct and forall-exists real and rational shapes have no
-generic oracle here; their deciders exploit the construction layout (selector
-nodes are the only decisive universal values; three-squares criterion per
-gadget) and refuse anything that does not re-derive from its provenance.
-A sampling refuter covers the rest, returning REFUTED with the bad universal
-value or UNRESOLVED after its budget.
+counting; over Q only its construction is, whose real roots are rational.
+The per-conjunct and forall-exists real and rational shapes have no generic
+oracle here. Their deciders share one loop over the clause blocks of the
+construction layout, which they re-derive from the provenance and refuse if
+it does not match: over R a block is clause i's factors (at the selector node
+i for a forall-first prefix, the only decisive universal values) sent to
+Sturm, over Q the three-squares criterion per gadget. A sampling refuter
+covers the rest, returning REFUTED with the bad universal value or
+UNRESOLVED after its budget.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .elim import QuantifiedEquation, Shape, SqrtValue, build_for_shape
+from .elim import QuantifiedEquation, Shape, SqrtValue, _is_node, build_for_shape
 from .errors import (
     MissingAssignmentError,
     ShapeUnsupportedError,
@@ -231,12 +234,23 @@ def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
 # -- Sturm-based oracle over R ---------------------------------------------------
 
 
-def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """exists r: p(r, x) = 0 over the reals, by Sturm root counting."""
+def has_real_root(qe: QuantifiedEquation, x: Mapping) -> bool:
+    """Whether p(r, x) = 0 has a real root r, by Sturm root counting."""
     (r_name,) = _prefix_names(qe, ("exists",))
     p = qe.substituted_equation(x)
-    _require_only(p, {r_name}, "decide_e_r")
+    _require_only(p, {r_name}, "has_real_root")
     return count_real_roots(as_univariate(p, r_name)) != 0
+
+
+def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
+    """exists r: p(r, x) = 0 over the equation's field, by real roots.
+
+    Over Q only the construction is decided: its roots are r = 1/prod u(x),
+    so at a rational point a real root is a rational one. A Q equation that
+    does not re-derive from its provenance is refused."""
+    if qe.field is Field.Q:
+        qe = _structured(qe, Shape.E_R)
+    return has_real_root(qe, x)
 
 
 # -- structured deciders -----------------------------------------------------------
@@ -270,41 +284,6 @@ def _structured(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
     raise ShapeUnsupportedError("equation does not re-derive from its provenance")
 
 
-def decide_ed_r(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """Sum of squared brackets with disjoint r_i: zero iff every bracket,
-    univariate in its own r_i, has a real root or is identically zero."""
-    qe2 = _structured(qe, Shape.Ed_R)
-    for i, b in enumerate(qe2.addend_values(lambda p: p.substitute(x))):
-        name = f"r{i+1}"
-        _require_only(b, {name}, "decide_ed_r")
-        if count_real_roots(as_univariate(b, name)) == 0:
-            return False
-    return True
-
-
-def decide_ae_r_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """forall r exists s for the constructed real shape.
-
-    Only the selector nodes 1..d are decisive: anywhere else the first
-    bracket vanishes at s = 1/prod(r - i). At each node the remaining
-    one-variable polynomial in s goes to Sturm."""
-    qe2 = _structured(qe, Shape.AE_R)
-    r_name, s_name = (n for _, n in qe2.prefix)
-    guard = qe2.guard.substitute(x)
-    addends = qe2.addend_values(lambda p: p.substitute(x))
-    d = len(addends)
-    for i in range(1, d + 1):
-        node = {r_name: Fraction(i)}
-        total = qe2.ring.zero
-        for part in addends:
-            total = total + part.substitute(node)
-        p = guard.substitute(node) * total
-        _require_only(p, {s_name}, "decide_ae_r_structured")
-        if count_real_roots(as_univariate(p, s_name)) == 0:
-            return False
-    return True
-
-
 def _q_positive_representable(u: Fraction) -> bool:
     """Whether some gadget factor (1 - u*V) or (1 - 2u*V) can vanish with V a
     sum of three rational squares: u must be positive and 1/u or 1/(2u)
@@ -318,31 +297,62 @@ def _q_positive_representable(u: Fraction) -> bool:
     return is_sum_three_squares(half.numerator * half.denominator)
 
 
-def _clause_vanishable_q(m, i: int, x: Mapping) -> bool:
-    for atom in m.eqs(i):
-        if not atom.term.evaluate(x):
-            return True
-    for atom in m.ineqs(i):
-        if atom.rel is Rel.GT0 and _q_positive_representable(atom.term.evaluate(x)):
-            return True
-    return False
+def _block_vanishes(qe: QuantifiedEquation, x: Mapping, i: int) -> bool:
+    """Whether some exists values zero clause i's block of a constructed
+    equation at x. Over Q: an equation term vanishes or an order literal
+    passes the three-squares test. Over R: the factors of addend i, at x and
+    under a forall-first prefix at the node i + 1 (where the guard is 1 and
+    every other selector vanishes), have a real root in the clause's one
+    exists variable."""
+    if qe.field is Field.Q:
+        m = qe.provenance
+        return any(not atom.term.evaluate(x) for atom in m.eqs(i)) or any(
+            atom.rel is Rel.GT0 and _q_positive_representable(atom.term.evaluate(x))
+            for atom in m.ineqs(i)
+        )
+    exists = [n for q, n in qe.prefix if q == "exists"]
+    point = dict(x)
+    if qe.prefix[0][0] == "forall":
+        point[qe.prefix[0][1]] = Fraction(i + 1)
+        name = exists[0]
+    else:
+        name = exists[i]
+    block = qe.ring.one
+    for f in qe.addends[i]:
+        block = block * f.substitute(point)
+    _require_only(block, {name}, f"decide {qe.shape.value}")
+    return count_real_roots(as_univariate(block, name)) != 0
 
 
-def _every_clause_vanishable_q(qe: QuantifiedEquation, x: Mapping, shape: Shape) -> bool:
-    m = _structured(qe, shape).provenance
-    return all(_clause_vanishable_q(m, i, x) for i in range(m.d))
+def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, shape: Shape) -> bool:
+    qe2 = _structured(qe, shape)
+    return all(_block_vanishes(qe2, x, i) for i in range(qe2.provenance.d))
+
+
+def decide_ed_r(qe: QuantifiedEquation, x: Mapping) -> bool:
+    """Sum of squared brackets with disjoint r_i: zero iff every bracket,
+    univariate in its own r_i, has a real root or is identically zero."""
+    return _every_block_vanishes(qe, x, Shape.Ed_R)
+
+
+def decide_ae_r_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
+    """forall r exists s for the constructed real shape.
+
+    Only the selector nodes 1..d are decisive: anywhere else the guard
+    vanishes at s = 1/prod(r - i). At node i clause i's factors go to Sturm."""
+    return _every_block_vanishes(qe, x, Shape.AE_R)
 
 
 def decide_e3d_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Each bracket must vanish: some equation hits zero, or some gadget's
     reciprocal test passes the three-squares criterion."""
-    return _every_clause_vanishable_q(qe, x, Shape.E3d_Q)
+    return _every_block_vanishes(qe, x, Shape.E3d_Q)
 
 
 def decide_ae3_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Node reduction as in the real forall-exists case, with the inner
     exists decided by the three-squares criterion."""
-    return _every_clause_vanishable_q(qe, x, Shape.AE3_Q)
+    return _every_block_vanishes(qe, x, Shape.AE3_Q)
 
 
 DECIDER_FOR_SHAPE: dict[Shape, Callable] = {
@@ -401,13 +411,9 @@ def _inner_exists_true(qe: QuantifiedEquation, x: Mapping, alpha) -> bool:
     if len(exists_names) > 1:
         # only the structured Q shape carries several inner variables
         qe2 = _structured(qe, Shape.AE3_Q)
-        m = qe2.provenance
-        node = None
-        if isinstance(alpha, Fraction) and alpha.denominator == 1 and 1 <= alpha <= m.d:
-            node = int(alpha)
-        if node is None:
-            return True  # guard bracket vanishes at w1 = 1/prod(alpha - i)
-        return _clause_vanishable_q(m, node - 1, x)
+        node = _is_node(alpha, qe2.provenance.d)
+        # off the nodes the guard vanishes at w1 = 1/prod(alpha - i)
+        return node is None or _block_vanishes(qe2, x, node - 1)
     point = dict(x)
     point[univ] = alpha
     p = qe.substituted_equation(point)

@@ -17,6 +17,14 @@ DNF feeds the exists-first shapes, CNF the forall-first and per-conjunct ones.
 Empty products are 1 and empty sums 0, so degenerate matrices come out right
 without special cases.
 
+Each construction fact has one home. GADGETS holds each field's clause
+gadget 1 - s*u*W: its base W, its scales s, the exists values that zero it
+for a literal value u and the zero block of a clause satisfied by an
+equation; the CNF constructions, witness extraction and the deciders read it.
+_node_product is the one product over the nodes 1..d, behind the selectors,
+the guard, the off-node witness and the degree report. Quantified names are
+spelled out only in _BUILDERS; everything else reads them from the prefix.
+
 Every equation has one layout, guard * sum_i (prod_j f_ij)^k with k in {1, 2}:
 the product shapes have a unit guard and one addend holding the clause
 factors, the sum-of-squares shapes a unit guard, one addend per clause and
@@ -59,7 +67,7 @@ from .formula import (
     to_cnf,
     to_dnf,
 )
-from .poly import Field, MultiPoly, PolyRing, render_poly, render_poly_latex
+from .poly import Field, MultiPoly, PolyRing, as_univariate, render_poly, render_poly_latex
 
 
 class Shape(enum.Enum):
@@ -145,7 +153,7 @@ class ShapeSpec:
     literals: frozenset  # literal relations its gadgets encode
     fields: frozenset  # matrix fields it accepts
     power: int  # k in guard * sum_i (prod_j f_ij)^k
-    bounds: Callable  # degree report counts -> {variable: (bound, exact)}
+    bounds: Callable  # degree report counts -> [(bound, exact)] in prefix order
     notes: tuple  # the witness recipe
 
 
@@ -163,12 +171,12 @@ _Q = frozenset((Field.Q,))
 SHAPE_SPECS: dict[Shape, ShapeSpec] = {
     Shape.EA_C: ShapeSpec(
         NormalForm.DNF, _EQ_NEQ, _C, 1,
-        lambda c: {"a": (c["d"], True), "b": (c["e_total"], True)},
+        lambda c: [(c["d"], True), (c["e_total"], True)],
         ("pick the first true clause i; a := 1/prod_k u_ik(x); any b works",),
     ),
     Shape.AE_C: ShapeSpec(
         NormalForm.CNF, _EQ_NEQ, _C, 1,
-        lambda c: {"a": _node_bound(c), "b": (c["f_max"] + 1, False)},
+        lambda c: [_node_bound(c), (c["f_max"] + 1, False)],
         (
             "at a = node i: b := 0 if some t_ij(x) = 0, else b := 1/u_ik(x) for a nonzero u",
             "at a outside the nodes: b := 1/prod_i (a - i)",
@@ -176,17 +184,17 @@ SHAPE_SPECS: dict[Shape, ShapeSpec] = {
     ),
     Shape.E_R: ShapeSpec(
         NormalForm.DNF, _EQ_NEQ, _RQ, 1,
-        lambda c: {"r": (2 * c["d"], True)},
+        lambda c: [(2 * c["d"], True)],
         ("pick the first true clause i; r := 1/prod_k u_ik(x)",),
     ),
     Shape.Ed_R: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _RQ, 2,
-        lambda c: {f"r{i+1}": (4 * f, False) for i, f in enumerate(c["f"])},
+        lambda c: [(4 * f, False) for f in c["f"]],
         ("clause i: r_i := 0 if some t_ij(x) = 0, else r_i := sqrt(1/u_ik(x)) for a positive u",),
     ),
     Shape.AE_R: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _RQ, 1,
-        lambda c: {"r": _node_bound(c), "s": (2 * c["f_max"] + 1, False)},
+        lambda c: [_node_bound(c), (2 * c["f_max"] + 1, False)],
         (
             "at r = node i: s := 0 on a zero equation, else s := sqrt(1/u_ik(x))",
             "at r outside the nodes: s := 1/prod_i (r - i)",
@@ -194,19 +202,12 @@ SHAPE_SPECS: dict[Shape, ShapeSpec] = {
     ),
     Shape.E3d_Q: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _Q, 2,
-        lambda c: {
-            f"v{3*i+k}": (8 * f, False) for i, f in enumerate(c["f"]) for k in (1, 2, 3)
-        },
+        lambda c: [(8 * f, False) for f in c["f"] for _ in range(3)],
         ("clause i: block i := (0,0,0) on a zero equation, else the three-squares triple for u_ik(x)",),
     ),
     Shape.AE3_Q: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _Q, 1,
-        lambda c: {
-            "v": _node_bound(c),
-            "w1": (4 * c["f_max"] + 1, False),
-            "w2": (4 * c["f_max"], False),
-            "w3": (4 * c["f_max"], False),
-        },
+        lambda c: [_node_bound(c), (4 * c["f_max"] + 1, False)] + [(4 * c["f_max"], False)] * 2,
         (
             "at v = node i: w := (0,0,0) on a zero equation, else the three-squares triple",
             "at v outside the nodes: w1 := 1/prod_i (v - i), w2 = w3 = 0",
@@ -215,25 +216,77 @@ SHAPE_SPECS: dict[Shape, ShapeSpec] = {
 }
 
 
-# -- construction helpers -----------------------------------------------------
+# -- the per-field gadget and the selector nodes --------------------------------
+
+
+@dataclass(frozen=True)
+class SqrtValue:
+    """The positive square root of a nonnegative rational."""
+
+    radicand: Fraction
+
+    def __post_init__(self):
+        if self.radicand < 0:
+            raise ValueError("negative radicand")
+
+    def __str__(self):
+        return f"sqrt({self.radicand})"
+
+
+@dataclass(frozen=True)
+class Gadget:
+    """A field's clause gadget 1 - s*u*W: some exists values zero it exactly
+    when the literal value u is nonzero (over C) or positive (over R and Q)."""
+
+    squares: bool  # W sums the squares of the exists variables, else W is the one variable
+    scales: tuple  # one gadget per scale s; over Q, u > 0 needs s = 1 or s = 2
+    roots: Callable  # u -> exists values zeroing a gadget of the literal value u
+    zero: tuple  # exists values of a clause that an equation satisfies
+
+    def base(self, ys: list) -> MultiPoly:
+        if not self.squares:
+            return ys[0]
+        return sum((y * y for y in ys[1:]), ys[0] * ys[0])
+
+
+GADGETS = {
+    Field.C: Gadget(False, (1,), lambda u: (1 / u,), (GaussianRational.of(0),)),
+    Field.R: Gadget(True, (1,), lambda u: (SqrtValue(1 / u),), (Fraction(0),)),
+    Field.Q: Gadget(True, (1, 2), lambda u: positivity_witness_q(u)[1], (Fraction(0),) * 3),
+}
+
+
+def _node_product(v, d: int, skip: int | None = None):
+    """prod over the nodes h in 1..d, h != skip, of (v - h), for a polynomial
+    or a field scalar v; the empty product is the unit v ** 0 of v's type."""
+    out = v**0
+    for h in range(1, d + 1):
+        if h != skip:
+            out = out * (v - h)
+    return out
 
 
 def lagrange_selector(i: int, d: int, v: MultiPoly) -> MultiPoly:
     """prod over h in 1..d, h != i, of (v - h); selects clause i at v = i."""
     if not 1 <= i <= d:
         raise IndexError(f"selector index {i} outside 1..{d}")
-    out = v.ring.one
-    for h in range(1, d + 1):
-        if h != i:
-            out = out * (v - h)
-    return out
+    return _node_product(v, d, skip=i)
 
 
-def _nodes_product(v: MultiPoly, d: int) -> MultiPoly:
-    out = v.ring.one
-    for h in range(1, d + 1):
-        out = out * (v - h)
-    return out
+def _is_node(value, d: int) -> int | None:
+    """The integer node 1..d that value equals, if any."""
+    if isinstance(value, GaussianRational):
+        if value.im != 0:
+            return None
+        value = value.re
+    value = Fraction(value)
+    if value.denominator != 1:
+        return None
+    n = value.numerator
+    return n if 1 <= n <= d else None
+
+
+# -- construction helpers -----------------------------------------------------
 
 
 def _out_ring(m: ClauseMatrix, out_field: Field) -> PolyRing:
@@ -262,47 +315,35 @@ def _u_product(m: ClauseMatrix, i: int, ring: PolyRing) -> MultiPoly:
     return out
 
 
-def _gadget_base(ys: list) -> MultiPoly:
-    """W in the gadgets 1 - u*W: the variable itself over C, where the gadget
-    encodes u != 0, and a sum of squares over an ordered field, where it
-    encodes u > 0."""
-    if ys[0].ring.field is Field.C:
-        return ys[0]
-    return sum((y * y for y in ys[1:]), ys[0] * ys[0])
-
-
 def _clause_factors(m: ClauseMatrix, i: int, ring: PolyRing, w: MultiPoly) -> tuple:
-    """Clause i as factors: its equation terms, then the gadget 1 - u*w per
-    inequation or order term u. Over Q a second gadget 1 - 2*u*w follows,
-    since a positive rational is 1 or 1/2 times a sum of three squares."""
+    """Clause i as factors: its equation terms, then the field's gadgets
+    1 - s*u*w per inequation or order term u."""
     parts = [_transplant(atom.term, ring) for atom in m.eqs(i)]
     for atom in m.ineqs(i):
         uw = _transplant(atom.term, ring) * w
-        parts.append(ring.one - uw)
-        if ring.field is Field.Q:
-            parts.append(ring.one - 2 * uw)
+        parts.extend(ring.one - s * uw for s in GADGETS[ring.field].scales)
     return tuple(parts)
 
 
 # -- the constructions: each returns (ring, prefix, guard, addends) ------------
 
 
-def _build_ea_c(m: ClauseMatrix) -> tuple:
+def _build_ea_c(m: ClauseMatrix, a_name: str, b_name: str) -> tuple:
     ring = _out_ring(m, Field.C)
-    a = ring.quantified("a")
-    b = ring.quantified("b")
+    a = ring.quantified(a_name)
+    b = ring.quantified(b_name)
     factors = []
     for i in range(m.d):
         f = ring.one - a * _u_product(m, i, ring)
         for j, atom in enumerate(m.eqs(i), start=1):
             f = f + _transplant(atom.term, ring) * b**j
         factors.append(f)
-    return ring, (("exists", "a"), ("forall", "b")), None, (tuple(factors),)
+    return ring, (("exists", a_name), ("forall", b_name)), None, (tuple(factors),)
 
 
-def _build_e_r(m: ClauseMatrix) -> tuple:
+def _build_e_r(m: ClauseMatrix, r_name: str) -> tuple:
     ring = _out_ring(m, m.ring.field if m.ring is not None else Field.R)
-    r = ring.quantified("r")
+    r = ring.quantified(r_name)
     factors = []
     for i in range(m.d):
         gadget = ring.one - r * _u_product(m, i, ring)
@@ -311,7 +352,7 @@ def _build_e_r(m: ClauseMatrix) -> tuple:
             t = _transplant(atom.term, ring)
             f = f + t * t
         factors.append(f)
-    return ring, (("exists", "r"),), None, (tuple(factors),)
+    return ring, (("exists", r_name),), None, (tuple(factors),)
 
 
 def _build_brackets(m: ClauseMatrix, fld: Field, names: Callable) -> tuple:
@@ -323,7 +364,7 @@ def _build_brackets(m: ClauseMatrix, fld: Field, names: Callable) -> tuple:
     for i in range(m.d):
         ys = [ring.quantified(n) for n in names(i)]
         prefix.extend(("exists", n) for n in names(i))
-        addends.append(_clause_factors(m, i, ring, _gadget_base(ys)))
+        addends.append(_clause_factors(m, i, ring, GADGETS[fld].base(ys)))
     return ring, tuple(prefix), None, addends
 
 
@@ -333,9 +374,9 @@ def _build_guarded(m: ClauseMatrix, fld: Field, univ: str, exists: tuple) -> tup
     ring = _out_ring(m, fld)
     z = ring.quantified(univ)
     ys = [ring.quantified(n) for n in exists]
-    w = _gadget_base(ys)
+    w = GADGETS[fld].base(ys)
     d = m.d
-    guard = ring.one - ys[0] * _nodes_product(z, d)
+    guard = ring.one - ys[0] * _node_product(z, d)
     addends = [
         (lagrange_selector(i, d, z), *_clause_factors(m, i - 1, ring, w))
         for i in range(1, d + 1)
@@ -345,9 +386,9 @@ def _build_guarded(m: ClauseMatrix, fld: Field, univ: str, exists: tuple) -> tup
 
 
 _BUILDERS: dict[Shape, Callable[[ClauseMatrix], tuple]] = {
-    Shape.EA_C: _build_ea_c,
+    Shape.EA_C: lambda m: _build_ea_c(m, "a", "b"),
     Shape.AE_C: lambda m: _build_guarded(m, Field.C, "a", ("b",)),
-    Shape.E_R: _build_e_r,
+    Shape.E_R: lambda m: _build_e_r(m, "r"),
     Shape.Ed_R: lambda m: _build_brackets(m, Field.R, lambda i: (f"r{i+1}",)),
     Shape.AE_R: lambda m: _build_guarded(m, Field.R, "r", ("s",)),
     Shape.E3d_Q: lambda m: _build_brackets(
@@ -409,19 +450,8 @@ class DegreeReport:
 
 def _selector_coeff_rows(d: int) -> list[list[Fraction]]:
     """Row i-1: coefficients of prod_{h != i}(z - h) by ascending power."""
-    rows = []
-    for i in range(1, d + 1):
-        coeffs = [Fraction(1)]
-        for h in range(1, d + 1):
-            if h == i:
-                continue
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k] += c * (-h)
-                nxt[k + 1] += c
-            coeffs = nxt
-        rows.append(coeffs)
-    return rows
+    z = PolyRing(Field.Q).var("z")
+    return [as_univariate(_node_product(z, d, skip=i), "z").scalars() for i in range(1, d + 1)]
 
 
 def _addend_tails(qe: QuantifiedEquation) -> list[tuple[MultiPoly, ...]]:
@@ -523,7 +553,7 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
         "raw_d": m.raw_clause_count,
     }
     degrees = _measured_degrees(qe)
-    claims = SHAPE_SPECS[qe.shape].bounds(counts)
+    claims = dict(zip(qe.quantified_names(), SHAPE_SPECS[qe.shape].bounds(counts)))
     bounds = {z: b for z, (b, _) in claims.items()}
     exact = {z: e for z, (_, e) in claims.items()}
     if d == 0:  # an empty matrix: every degree is exactly 0
@@ -542,32 +572,20 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
 # -- witnesses ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SqrtValue:
-    """The positive square root of a nonnegative rational."""
-
-    radicand: Fraction
-
-    def __post_init__(self):
-        if self.radicand < 0:
-            raise ValueError("negative radicand")
-
-    def __str__(self):
-        return f"sqrt({self.radicand})"
-
-
 @dataclass
 class WitnessRecipe:
     shape: Shape
     matrix: ClauseMatrix
     field: Field
     notes: tuple
+    prefix: tuple
 
 
 def witness_recipe(qe: QuantifiedEquation) -> WitnessRecipe:
     if qe.provenance is None:
         raise ValueError("witness recipe needs the provenance matrix")
-    return WitnessRecipe(qe.shape, qe.provenance, qe.field, SHAPE_SPECS[qe.shape].notes)
+    notes = SHAPE_SPECS[qe.shape].notes
+    return WitnessRecipe(qe.shape, qe.provenance, qe.field, notes, qe.prefix)
 
 
 def _clause_true(m: ClauseMatrix, i: int, x: Mapping) -> bool:
@@ -593,42 +611,19 @@ def _inv_u_product(m: ClauseMatrix, i: int, x: Mapping):
     return 1 / prod
 
 
-def _is_node(value, d: int) -> int | None:
-    """The integer node 1..d that value equals, if any."""
-    if isinstance(value, GaussianRational):
-        if value.im != 0:
-            return None
-        value = value.re
-    value = Fraction(value)
-    if value.denominator != 1:
-        return None
-    n = value.numerator
-    return n if 1 <= n <= d else None
-
-
-def _node_inverse(value, d: int):
-    prod = None
-    for h in range(1, d + 1):
-        t = value - h
-        prod = t if prod is None else prod * t
-    if prod is None:
-        return Fraction(1)
-    return 1 / prod
-
-
-def _ordered_clause_choice(m: ClauseMatrix, i: int, x: Mapping):
-    """(kind, payload) for a true CNF clause: a zero equation or a usable
-    inequality/inequation literal value."""
+def _clause_block(m: ClauseMatrix, i: int, x: Mapping, gadget: Gadget) -> tuple:
+    """The exists values that zero CNF clause i's factors at x: the zero
+    block on a zero equation, else the roots of the first gadget whose
+    inequation or order literal holds."""
     for atom in m.eqs(i):
         if not atom.term.evaluate(x):
-            return "eq", None
+            return gadget.zero
     for atom in m.ineqs(i):
         v = atom.term.evaluate(x)
-        if atom.rel is Rel.NEQ0 and v:
-            return "neq", v
-        if atom.rel is Rel.GT0 and v > 0:
-            return "gt", v
-    return None
+        holds = bool(v) if atom.rel is Rel.NEQ0 else v > 0
+        if holds:
+            return gadget.roots(v)
+    raise NoWitnessError("formula is false at the point")
 
 
 def extract_witness(
@@ -637,77 +632,36 @@ def extract_witness(
     x: Mapping,
     forall_value=None,
 ):
-    """Exact scalars for the exists variables, per the construction's rule.
+    """Exact scalars for the exists variables, named by the prefix.
 
-    For forall-first shapes the caller supplies the forall value and the
-    returned assignment includes it; square roots come back as SqrtValue
-    markers and the Q shapes use the three-squares decomposition."""
+    A DNF construction takes 1/prod_k u_ik(x) at its first true clause i; an
+    exists-only CNF one takes one gadget block per clause; a forall-first one
+    takes clause i's block at the node i and, off the nodes, the value
+    1/prod_h (forall_value - h) that zeroes the guard, padded with zeros. For
+    these the caller supplies the forall value, which the returned
+    assignment includes. Square roots come back as SqrtValue markers."""
     m = recipe.matrix if m is None else m
-    shape = recipe.shape
-    if shape in (Shape.EA_C, Shape.E_R):
+    names = [n for _, n in recipe.prefix]
+    gadget = GADGETS[recipe.field]
+    if m.kind is NormalForm.DNF:
         i = _first_true_clause(m, x)
         if i is None:
             raise NoWitnessError("formula is false at the point")
-        val = _inv_u_product(m, i, x)
-        return {"a" if shape is Shape.EA_C else "r": val}
-    if shape is Shape.Ed_R:
-        out = {}
-        for i in range(m.d):
-            choice = _ordered_clause_choice(m, i, x)
-            if choice is None:
-                raise NoWitnessError("formula is false at the point")
-            kind, v = choice
-            out[f"r{i+1}"] = Fraction(0) if kind == "eq" else SqrtValue(1 / v)
-        return out
-    if shape is Shape.E3d_Q:
-        out = {}
-        for i in range(m.d):
-            choice = _ordered_clause_choice(m, i, x)
-            if choice is None:
-                raise NoWitnessError("formula is false at the point")
-            kind, v = choice
-            if kind == "eq":
-                triple = (Fraction(0), Fraction(0), Fraction(0))
-            else:
-                _, triple = positivity_witness_q(v)
-            for k in (1, 2, 3):
-                out[f"v{3*i+k}"] = triple[k - 1]
-        return out
-    # forall-first shapes
+        return {names[0]: _inv_u_product(m, i, x)}
+    if not recipe.prefix or recipe.prefix[0][0] == "exists":
+        blocks = [_clause_block(m, i, x, gadget) for i in range(m.d)]
+        return dict(zip(names, (v for block in blocks for v in block)))
     if forall_value is None:
         raise MissingAssignmentError("forall value required for this shape")
     if not all(_clause_true(m, i, x) for i in range(m.d)):
         raise NoWitnessError("formula is false at the point")
-    node = _is_node(forall_value, m.d)
-    if shape is Shape.AE_C:
-        if node is None:
-            b = _node_inverse(GaussianRational.of(forall_value), m.d)
-        else:
-            choice = _ordered_clause_choice(m, node - 1, x)
-            kind, v = choice
-            b = GaussianRational.of(0) if kind == "eq" else 1 / v
-        return {"a": GaussianRational.of(forall_value), "b": GaussianRational.of(b)}
-    if shape is Shape.AE_R:
-        if node is None:
-            s = _node_inverse(Fraction(forall_value), m.d)
-        else:
-            kind, v = _ordered_clause_choice(m, node - 1, x)
-            s = Fraction(0) if kind == "eq" else SqrtValue(1 / v)
-        return {"r": Fraction(forall_value), "s": s}
-    if shape is Shape.AE3_Q:
-        if node is None:
-            w = (_node_inverse(Fraction(forall_value), m.d), Fraction(0), Fraction(0))
-        else:
-            kind, v = _ordered_clause_choice(m, node - 1, x)
-            if kind == "eq":
-                w = (Fraction(0), Fraction(0), Fraction(0))
-            else:
-                _, w = positivity_witness_q(v)
-        return {
-            "v": Fraction(forall_value),
-            "w1": w[0], "w2": w[1], "w3": w[2],
-        }
-    raise ValueError(f"unknown shape {shape!r}")
+    alpha = PolyRing(recipe.field).scalar(forall_value)
+    node = _is_node(alpha, m.d)
+    if node is None:
+        block = (1 / _node_product(alpha, m.d), *gadget.zero[1:])
+    else:
+        block = _clause_block(m, node - 1, x, gadget)
+    return dict(zip(names, (alpha, *block)))
 
 
 # -- serialization ---------------------------------------------------------------

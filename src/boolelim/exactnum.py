@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals, sums of three squares.
 
-Rational is the stdlib Fraction; it already keeps the canonical form we rely
-on everywhere (lowest terms, positive denominator). GaussianRational adds the
-imaginary unit for work over the complex field. The three-squares routines
-back the positivity gadgets over the rationals: a positive rational u has
+The stdlib Fraction already keeps the canonical form we rely on everywhere
+(lowest terms, positive denominator). GaussianRational adds the imaginary
+unit for work over the complex field. The three-squares routines back the
+positivity gadgets over the rationals: a positive rational u has
 s*u*(v1^2+v2^2+v3^2) = 1 for s in {1,2} and rational v_i, and the search for
 integer parts is a bounded brute force.
 """
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotPositiveError
-
-Rational = Fraction
 
 
 def rat(num: int, den: int = 1) -> Fraction:

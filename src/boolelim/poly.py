@@ -42,10 +42,6 @@ class Field(enum.Enum):
     def from_letter(letter: str) -> "Field":
         return Field(letter.strip().upper())
 
-    @property
-    def is_real(self) -> bool:
-        return self is not Field.C
-
 
 @dataclass(frozen=True)
 class Var:
@@ -83,20 +79,11 @@ class VarTable:
     def name_of(self, index: int) -> str:
         return self._vars[index].name
 
-    def var_at(self, index: int) -> Var:
-        return self._vars[index]
-
     def all_vars(self) -> tuple[Var, ...]:
         return tuple(self._vars)
 
     def free_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self._vars if not v.quantified)
-
-    def quantified_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self._vars if v.quantified)
-
-    def __len__(self) -> int:
-        return len(self._vars)
 
 
 def _coerce_scalar(fld: Field, x) -> Scalar:

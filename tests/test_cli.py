@@ -317,3 +317,44 @@ def test_decide_point_with_zero_denominator_is_an_input_error(tmp_path):
 def test_free_variable_named_like_a_quantifier_is_incompatible(tmp_path):
     f = write(tmp_path, "f.txt", "a = 0")
     assert run(["eliminate", "--field", "c", "--form", "ea", "--input", f])[0] == EXIT_INCOMPATIBLE
+
+
+def test_q_tagged_e_equation_not_from_the_construction_is_refused(tmp_path):
+    """r^2 = 2y has a real root but no rational one at y = 1; over Q only an
+    equation that re-derives from its provenance is decided."""
+    eq = write(tmp_path, "eq.json", json.dumps({
+        "field": "Q", "prefix": [["exists", "r"]], "vars": ["y"],
+        "equation": "r^2 - 2*y", "shape": "E_R", "counts": {},
+    }))
+    assert run(["decide", "--input", eq, "--point", "y=1"])[0] == EXIT_SHAPE
+
+
+def test_q_tagged_e_equation_from_eliminate_is_decided(tmp_path):
+    f = write(tmp_path, "f.txt", CROSS_NEQ)
+    _, payload = run(
+        ["eliminate", "--field", "q", "--form", "e", "--input", f, "--output", "json"]
+    )
+    eq = write(tmp_path, "eq.json", payload)
+    assert run(["decide", "--input", eq, "--point", "y=0,z=3"]) == (EXIT_OK, "TRUE\n")
+    assert run(["decide", "--input", eq, "--point", "y=1,z=1"]) == (EXIT_OK, "FALSE\n")
+
+
+def test_plot_counts_real_roots_of_a_q_tagged_equation(tmp_path):
+    eq = write(tmp_path, "eq.json", json.dumps({
+        "field": "Q", "prefix": [["exists", "r"]], "vars": ["y", "z"],
+        "equation": "r^2 - 2*y*z", "shape": "E_R", "counts": {},
+    }))
+    code, got = run(["plot", "--input", eq, "--grid=1:1:1"])
+    assert (code, got) == (EXIT_OK, "y,z,has_real_root\n1,1,1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--output", "json"],
+    ["decide", "--clause-limit", "5"],
+    ["verify", "--field", "c", "--form", "ea", "--seed", "1", "--output", "json"],
+    ["report", "--field", "c", "--form", "ea", "--output", "latex"],
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2

@@ -15,7 +15,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from boolelim.decide import decider_for_shape
-from boolelim.elim import Shape, build_for_shape, extract_witness, from_json, to_json, witness_recipe
+from boolelim.elim import (
+    Shape,
+    build_for_shape,
+    extract_witness,
+    from_json,
+    to_json,
+    witness_recipe,
+)
 from boolelim.exactnum import GaussianRational
 from boolelim.formula import NormalForm, Rel, eval_formula, parse, to_cnf, to_dnf
 from boolelim.poly import Field
