@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .elim import QuantifiedEquation, Shape, SqrtValue, _is_node, build_for_shape
+from .elim import GADGETS, QuantifiedEquation, Shape, SqrtValue, _is_node, build_for_shape
 from .errors import (
     MissingAssignmentError,
     ShapeUnsupportedError,
@@ -124,25 +124,6 @@ class QuadScalar:
 
 def _quad(a: Fraction, b: Fraction, q: Fraction):
     return Fraction(a) if b == 0 else QuadScalar(a, b, q)
-
-
-def _eval_poly(p: MultiPoly, point: Mapping):
-    """Evaluate without coercing the point into the ring's scalar type, so
-    quadratic-extension values pass through."""
-    names = p.ring.table
-    cache: dict = {}
-    total = None
-    for m, c in p.terms.items():
-        acc = c
-        for idx, e in m:
-            k = (idx, e)
-            v = cache.get(k)
-            if v is None:
-                v = point[names.name_of(idx)] ** e
-                cache[k] = v
-            acc = acc * v
-        total = acc if total is None else total + acc
-    return p.ring.scalar(0) if total is None else total
 
 
 def _require_only(p: MultiPoly, allowed: set, what: str):
@@ -285,16 +266,17 @@ def _structured(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
 
 
 def _q_positive_representable(u: Fraction) -> bool:
-    """Whether some gadget factor (1 - u*V) or (1 - 2u*V) can vanish with V a
-    sum of three rational squares: u must be positive and 1/u or 1/(2u)
-    must be a three-square rational, checked on numerator times denominator."""
+    """Whether some gadget factor (1 - s*u*V) of the Q gadget's scales s can
+    vanish with V a sum of three rational squares: u must be positive and
+    some 1/(s*u) a three-square rational, checked on numerator times
+    denominator, scale by scale."""
     if u <= 0:
         return False
-    inv = 1 / Fraction(u)
-    if is_sum_three_squares(inv.numerator * inv.denominator):
-        return True
-    half = inv / 2
-    return is_sum_three_squares(half.numerator * half.denominator)
+    for s in GADGETS[Field.Q].scales:
+        inv = 1 / (s * Fraction(u))
+        if is_sum_three_squares(inv.numerator * inv.denominator):
+            return True
+    return False
 
 
 def _block_vanishes(qe: QuantifiedEquation, x: Mapping, i: int) -> bool:
@@ -471,7 +453,7 @@ def check_witness(qe: QuantifiedEquation, x: Mapping, assignment: Mapping) -> bo
         bound[name] = v
     unbound = [n for _, n in qe.prefix if n not in bound]
     if not unbound:
-        return not qe.fold(lambda f: _eval_poly(f, bound))
+        return not qe.fold(lambda f: f.evaluate(bound))
     if has_quad:
         raise MissingAssignmentError(
             f"square-root witnesses need every quantified variable bound; missing {unbound}"

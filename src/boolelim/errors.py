@@ -43,7 +43,8 @@ class OrderOnComplexError(BoolElimError):
 
 
 class SizeLimitError(BoolElimError):
-    """Normal-form distribution exceeded the clause budget."""
+    """A size budget was exceeded: the clause budget of normal-form
+    distribution, or the degree limit of a univariate view."""
 
 
 class WrongKindError(BoolElimError):

@@ -19,6 +19,7 @@ Order relations are rejected over the complex field. Over C the identifier
 from __future__ import annotations
 
 import enum
+import math
 import random
 import re as _re
 from dataclasses import dataclass, field as dc_field
@@ -529,26 +530,9 @@ def _merge_clause(base: tuple, extra: tuple, conjunctive: bool):
     return tuple(out)
 
 
-def _syntactic_clause_count(phi: Formula, want: NormalForm) -> int:
-    """Clause count of the plain distribution with no pruning or dedup:
-    additive at the gathering connective, multiplicative at the other."""
-    conjunctive = want is NormalForm.DNF
-    if isinstance(phi, TrueConst):
-        return 1 if conjunctive else 0
-    if isinstance(phi, FalseConst):
-        return 0 if conjunctive else 1
-    if isinstance(phi, Atom):
-        return 1
-    gather = Or if conjunctive else And
-    total = 0 if isinstance(phi, gather) else 1
-    for c in phi.children:
-        n = _syntactic_clause_count(c, want)
-        total = total + n if isinstance(phi, gather) else total * n
-    return total
-
-
 def _distribute(phi: Formula, want: NormalForm, limit: int):
-    """Clause lists for the NNF input; returns (clauses, raw_count)."""
+    """Clause lists for the NNF input; returns (clauses, raw_count), the raw
+    count being that of the plain distribution with no pruning or dedup."""
     conjunctive = want is NormalForm.DNF
 
     def product(lists):
@@ -568,27 +552,32 @@ def _distribute(phi: Formula, want: NormalForm, limit: int):
         return acc
 
     def walk(node: Formula):
+        # (clauses, raw count): the count adds at the gathering connective
+        # and multiplies at the other
         if isinstance(node, TrueConst):
-            return [()] if conjunctive else []
+            return ([()], 1) if conjunctive else ([], 0)
         if isinstance(node, FalseConst):
-            return [] if conjunctive else [()]
+            return ([], 0) if conjunctive else ([()], 1)
         if isinstance(node, Atom):
-            return [(node,)]
+            return [(node,)], 1
         gather = Or if conjunctive else And
         spread = And if conjunctive else Or
         if isinstance(node, gather):
-            out = []
+            out, raw = [], 0
             for c in node.children:
-                out.extend(walk(c))
+                clauses, n = walk(c)
+                out.extend(clauses)
+                raw += n
                 if len(out) > limit:
                     raise SizeLimitError(f"clause budget {limit} exceeded")
-            return out
+            return out, raw
         if isinstance(node, spread):
-            return product([walk(c) for c in node.children])
+            parts = [walk(c) for c in node.children]
+            raw = math.prod(n for _, n in parts)
+            return product([clauses for clauses, _ in parts]), raw
         raise TypeError(f"unexpected node in NNF: {node!r}")
 
-    clauses = walk(phi)
-    raw = _syntactic_clause_count(phi, want)
+    clauses, raw = walk(phi)
     deduped = []
     seen = set()
     for cl in clauses:

@@ -5,11 +5,19 @@ exponent) pairs, exponents > 0) to nonzero scalars. Every polynomial belongs
 to a PolyRing, which fixes the coefficient field and owns the variable table;
 mixing rings raises. The canonical text rendering sorts terms graded
 lexicographically with quantified variables ranked before free ones, which is
-what the golden files and the JSON round-trip rely on.
+what the golden files and the JSON round-trip rely on. Text and LaTeX are one
+term walk; a small style record says how each spells numbers, the imaginary
+unit, mixed Gaussians, products and powers.
 
-Univariate views expose one variable with polynomial coefficients; the
-scalar-coefficient case carries the Euclidean toolbox (gcd, squarefree part,
-Sturm chains, real-root counting).
+Evaluation coerces an int, Fraction or GaussianRational point value into the
+ring's scalars (so a real Gaussian becomes a Fraction over R and Q, and a
+non-real one raises FieldMismatchError) and uses any other value as given,
+which lets quadratic-extension witnesses through.
+
+Univariate views expose one variable with polynomial coefficients, at most
+MAX_UNIVARIATE_DEGREE of them (SizeLimitError above); the scalar-coefficient
+case carries the Euclidean toolbox (gcd, squarefree part, Sturm chains,
+real-root counting).
 """
 
 from __future__ import annotations
@@ -17,10 +25,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     FieldMismatchError,
+    SizeLimitError,
     VariableCollisionError,
     ZeroPolynomialError,
 )
@@ -28,6 +37,9 @@ from .exactnum import GaussianRational
 
 NEG_INF = float("-inf")
 INFINITE = float("inf")
+# a univariate view holds one coefficient per power up to its degree; the
+# constructions stay far below this within the default clause budget
+MAX_UNIVARIATE_DEGREE = 1 << 16
 
 Scalar = Union[Fraction, GaussianRational]
 Mono = tuple  # tuple[tuple[int, int], ...]
@@ -283,23 +295,30 @@ class MultiPoly:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Mapping[str, object]) -> Scalar:
-        """Exact value at a full point; every variable present must be bound."""
+        """Exact value at a full point; every variable present must be bound.
+
+        An int, Fraction or GaussianRational value is coerced into the
+        ring's scalars; any other value, such as a quadratic-extension
+        scalar, is used as given."""
         ring = self.ring
         names = ring.table
-        total = ring.scalar(0)
+        own = GaussianRational if ring.field is Field.C else Fraction
         cache: dict = {}
-        vals = {name: ring.scalar(v) for name, v in point.items()}
+        total = None
         for m, c in self.terms.items():
             acc = c
             for idx, e in m:
                 k = (idx, e)
                 p = cache.get(k)
                 if p is None:
-                    p = vals[names.name_of(idx)] ** e
+                    v = point[names.name_of(idx)]
+                    if type(v) is not own and isinstance(v, (int, Fraction, GaussianRational)):
+                        v = ring.scalar(v)
+                    p = v**e
                     cache[k] = p
                 acc = acc * p
-            total = total + acc
-        return total
+            total = acc if total is None else total + acc
+        return ring.scalar(0) if total is None else total
 
     def substitute(self, bindings: Mapping[str, object]) -> "MultiPoly":
         """Replace variables by polynomials or scalars; others stay."""
@@ -356,11 +375,51 @@ def _significance(ring: PolyRing, quantified: Sequence[str]) -> dict[int, tuple]
     return ranks
 
 
-def sorted_terms(p: MultiPoly, quantified: Sequence[str] = ()) -> list[tuple[Mono, Scalar]]:
-    """Terms in canonical order: total degree, then lex on significance."""
+def _latex_number(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    neg = "-" if x < 0 else ""
+    return f"{neg}\\tfrac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+
+
+@dataclass(frozen=True)
+class _Style:
+    """How a rendering spells the pieces of a term; the walk is shared."""
+
+    number: Callable[[Fraction], str]
+    imag: str  # a non-unit imaginary magnitude, from its number
+    mixed: str  # a Gaussian with both parts: real part, sign, imaginary part
+    times: tuple[str, str]  # coefficient to monomial, after a number or a ")"
+    var_join: str
+    power: str
+
+
+_TEXT = _Style(str, "{}*i", "({}{}{})", ("*", "*"), "*", "{}^{}")
+_LATEX = _Style(_latex_number, "{}i", "({} {} {})", (" ", ""), " ", "{}^{{{}}}")
+
+
+def _coeff_pieces(c: Scalar, style: _Style) -> tuple[int, str]:
+    """(sign, magnitude text) for a coefficient; mixed Gaussians keep sign +."""
+    if isinstance(c, GaussianRational):
+        if c.im == 0:
+            c = c.re
+        else:
+            mag = abs(c.im)
+            im_s = "i" if mag == 1 else style.imag.format(style.number(mag))
+            if c.re == 0:
+                return (-1 if c.im < 0 else 1), im_s
+            op = "+" if c.im > 0 else "-"
+            return 1, style.mixed.format(style.number(c.re), op, im_s)
+    return (-1 if c < 0 else 1), style.number(abs(c))
+
+
+def _render(p: MultiPoly, quantified: Sequence[str], style: _Style) -> str:
+    """Terms in canonical order, total degree then lex on significance, and
+    each monomial's variables by significance."""
+    if not p.terms:
+        return "0"
     ranks = _significance(p.ring, quantified)
-    order = sorted(ranks, key=lambda i: ranks[i])
-    pos = {idx: k for k, idx in enumerate(order)}
+    pos = {idx: k for k, idx in enumerate(sorted(ranks, key=ranks.__getitem__))}
 
     def sort_key(item):
         m, _ = item
@@ -369,101 +428,29 @@ def sorted_terms(p: MultiPoly, quantified: Sequence[str] = ()) -> list[tuple[Mon
             dense[pos[i]] = e
         return (_mono_degree(m), dense)
 
-    return sorted(p.terms.items(), key=sort_key, reverse=True)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _mono_str(ring: PolyRing, m: Mono, quantified: Sequence[str]) -> str:
-    ranks = _significance(ring, quantified)
-    parts = []
-    for i, e in sorted(m, key=lambda p: ranks[p[0]]):
-        name = ring.table.name_of(i)
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
-def _coeff_pieces(c: Scalar) -> tuple[int, str]:
-    """(sign, magnitude text) for a coefficient; mixed Gaussians keep sign +."""
-    if isinstance(c, GaussianRational):
-        if c.im == 0:
-            c = c.re
-        elif c.re == 0:
-            im = c.im
-            sign = -1 if im < 0 else 1
-            mag = abs(im)
-            return sign, "i" if mag == 1 else f"{_frac_str(mag)}*i"
+    name_of = p.ring.table.name_of
+    out: list[str] = []
+    for m, c in sorted(p.terms.items(), key=sort_key, reverse=True):
+        sign, body = _coeff_pieces(c, style)
+        if m:
+            mono = style.var_join.join(
+                name_of(i) if e == 1 else style.power.format(name_of(i), e)
+                for i, e in sorted(m, key=lambda q: pos[q[0]])
+            )
+            body = mono if body == "1" else body + style.times[body.endswith(")")] + mono
+        if not out:
+            out.append(f"-{body}" if sign < 0 else body)
         else:
-            re_s = _frac_str(c.re)
-            im_mag = abs(c.im)
-            im_s = "i" if im_mag == 1 else f"{_frac_str(im_mag)}*i"
-            op = "+" if c.im > 0 else "-"
-            return 1, f"({re_s}{op}{im_s})"
-    sign = -1 if c < 0 else 1
-    return sign, _frac_str(abs(c))
+            out.append(f" - {body}" if sign < 0 else f" + {body}")
+    return "".join(out)
 
 
 def render_poly(p: MultiPoly, quantified: Sequence[str] = ()) -> str:
-    if not p.terms:
-        return "0"
-    out: list[str] = []
-    for m, c in sorted_terms(p, quantified):
-        sign, mag = _coeff_pieces(c)
-        if m:
-            mono = _mono_str(p.ring, m, quantified)
-            body = mono if mag == "1" else f"{mag}*{mono}"
-        else:
-            body = mag
-        if not out:
-            out.append(f"-{body}" if sign < 0 else body)
-        else:
-            out.append(f" - {body}" if sign < 0 else f" + {body}")
-    return "".join(out)
-
-
-def _latex_frac(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    neg = "-" if x < 0 else ""
-    return f"{neg}\\tfrac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+    return _render(p, quantified, _TEXT)
 
 
 def render_poly_latex(p: MultiPoly, quantified: Sequence[str] = ()) -> str:
-    if not p.terms:
-        return "0"
-    ranks = _significance(p.ring, quantified)
-    out: list[str] = []
-    for m, c in sorted_terms(p, quantified):
-        mono = " ".join(
-            (p.ring.table.name_of(i) if e == 1 else f"{p.ring.table.name_of(i)}^{{{e}}}")
-            for i, e in sorted(m, key=lambda q: ranks[q[0]])
-        )
-        if isinstance(c, GaussianRational) and c.im != 0:
-            if c.re == 0:
-                mag = abs(c.im)
-                coeff = ("i" if mag == 1 else f"{_latex_frac(mag)}i")
-                sign = -1 if c.im < 0 else 1
-            else:
-                im_mag = abs(c.im)
-                im_s = "i" if im_mag == 1 else f"{_latex_frac(im_mag)}i"
-                coeff = f"({_latex_frac(c.re)} {'+' if c.im > 0 else '-'} {im_s})"
-                sign = 1
-        else:
-            val = c.re if isinstance(c, GaussianRational) else c
-            sign = -1 if val < 0 else 1
-            coeff = _latex_frac(abs(val))
-        if m:
-            body = mono if coeff == "1" else f"{coeff}{mono if coeff.endswith(')') else ' ' + mono}"
-            body = body.strip()
-        else:
-            body = coeff
-        if not out:
-            out.append(f"-{body}" if sign < 0 else body)
-        else:
-            out.append(f" - {body}" if sign < 0 else f" + {body}")
-    return "".join(out)
+    return _render(p, quantified, _LATEX)
 
 
 # -- univariate views -------------------------------------------------------
@@ -525,6 +512,10 @@ def as_univariate(p: MultiPoly, name: str) -> UniView:
         else:
             b.pop(key, None)
     top = max((e for e, t in buckets.items() if t), default=-1)
+    if top > MAX_UNIVARIATE_DEGREE:
+        raise SizeLimitError(
+            f"degree {top} in {name!r} exceeds the limit {MAX_UNIVARIATE_DEGREE}"
+        )
     coeffs = tuple(MultiPoly(ring, buckets.get(j, {})) for j in range(top + 1))
     return UniView(name, coeffs, ring)
 

@@ -329,6 +329,16 @@ def test_q_tagged_e_equation_not_from_the_construction_is_refused(tmp_path):
     assert run(["decide", "--input", eq, "--point", "y=1"])[0] == EXIT_SHAPE
 
 
+def test_equation_of_huge_degree_hits_the_size_limit(tmp_path):
+    """Deciding reads a univariate view in a, one coefficient per power; a
+    degree above the limit is refused instead of allocated."""
+    eq = write(tmp_path, "eq.json", json.dumps({
+        "field": "C", "prefix": [["exists", "a"], ["forall", "b"]], "vars": ["y"],
+        "equation": "a^100000000*b - y", "shape": "EA_C", "counts": {},
+    }))
+    assert run(["decide", "--input", eq, "--point", "y=1"])[0] == EXIT_SIZE
+
+
 def test_q_tagged_e_equation_from_eliminate_is_decided(tmp_path):
     f = write(tmp_path, "f.txt", CROSS_NEQ)
     _, payload = run(

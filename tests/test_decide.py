@@ -29,6 +29,7 @@ from boolelim.elim import (
     witness_recipe,
 )
 from boolelim.errors import (
+    FieldMismatchError,
     MissingAssignmentError,
     ShapeUnsupportedError,
     UnexpectedVariablesError,
@@ -116,6 +117,29 @@ def test_quad_scalar_mixed_radicands_rejected():
         a + b
     with pytest.raises(ValueError):
         a * b
+
+
+# -- evaluating at quadratic and Gaussian values -------------------------------
+
+
+def test_evaluate_lets_quadratic_values_through():
+    ring = PolyRing(Field.R, VarTable())
+    r, y = ring.quantified("r"), ring.var("y")
+    root = QuadScalar(Fraction(0), Fraction(1), Fraction(2))
+    value = (r + 1).evaluate({"r": root})
+    assert isinstance(value, QuadScalar)
+    assert value == QuadScalar(Fraction(1), Fraction(1), Fraction(2))
+    assert (r * r - 2 * y).evaluate({"r": root, "y": 1}) == 0
+
+
+@pytest.mark.parametrize("fld", [Field.R, Field.Q])
+def test_evaluate_coerces_gaussian_values_into_ordered_fields(fld):
+    ring = PolyRing(fld, VarTable())
+    x = ring.var("x")
+    value = (x * x + 1).evaluate({"x": gaussian(3, 0)})
+    assert type(value) is Fraction and value == 10
+    with pytest.raises(FieldMismatchError):
+        (x * x + 1).evaluate({"x": gaussian(0, 1)})
 
 
 # -- complete deciders vs formula truth -----------------------------------------
@@ -456,7 +480,6 @@ def test_layout_walk_matches_expanded_equation():
     """Evaluating and substituting through the layout agree with the expanded
     polynomial at full points, where a dropped power or guard would show
     (a witness check cannot see a dropped square: 0^2 = 0)."""
-    from boolelim.decide import _eval_poly
     from boolelim.elim import from_json, to_json
 
     rng = random.Random(46)
@@ -469,7 +492,7 @@ def test_layout_walk_matches_expanded_equation():
                     x = sample_point(rng, fld, frees)
                     full = {**x, **sample_point(rng, fld, eq.quantified_names(), bound=3)}
                     value = eq.equation.evaluate(full)
-                    assert eq.fold(lambda f: _eval_poly(f, full)) == value, (shape, seed)
+                    assert eq.fold(lambda f: f.evaluate(full)) == value, (shape, seed)
                     exists = {n: full[n] for q, n in eq.prefix if q == "exists"}
                     frees_and_forall = {n: v for n, v in full.items() if n not in exists}
                     assert check_witness(eq, frees_and_forall, exists) == (value == 0)

@@ -141,6 +141,89 @@ def test_render_parse_stability():
     assert render_poly(p) == render_poly(q)
 
 
+# Gaussian coefficients in both renderings, which no golden reaches (their
+# coefficients are rational): (re, im), placement, text, LaTeX.
+GAUSSIAN_RENDERINGS = [
+    ((0, 1), "constant", "i", "i"),
+    ((0, 1), "coefficient", "i*x*y^2", "i x y^{2}"),
+    ((0, 1), "non-leading", "x^3 + i*y", "x^{3} + i y"),
+    ((0, 1), "trailing constant", "x^3 + i", "x^{3} + i"),
+    ((0, -1), "constant", "-i", "-i"),
+    ((0, -1), "coefficient", "-i*x*y^2", "-i x y^{2}"),
+    ((0, -1), "non-leading", "x^3 - i*y", "x^{3} - i y"),
+    ((0, -1), "trailing constant", "x^3 - i", "x^{3} - i"),
+    ((0, Fraction(2, 3)), "constant", "2/3*i", "\\tfrac{2}{3}i"),
+    ((0, Fraction(2, 3)), "coefficient", "2/3*i*x*y^2", "\\tfrac{2}{3}i x y^{2}"),
+    ((0, Fraction(2, 3)), "non-leading", "x^3 + 2/3*i*y", "x^{3} + \\tfrac{2}{3}i y"),
+    ((0, Fraction(2, 3)), "trailing constant", "x^3 + 2/3*i", "x^{3} + \\tfrac{2}{3}i"),
+    ((0, Fraction(-2, 3)), "constant", "-2/3*i", "-\\tfrac{2}{3}i"),
+    ((0, Fraction(-2, 3)), "coefficient", "-2/3*i*x*y^2", "-\\tfrac{2}{3}i x y^{2}"),
+    ((0, Fraction(-2, 3)), "non-leading", "x^3 - 2/3*i*y", "x^{3} - \\tfrac{2}{3}i y"),
+    ((0, Fraction(-2, 3)), "trailing constant", "x^3 - 2/3*i", "x^{3} - \\tfrac{2}{3}i"),
+    ((1, 2), "constant", "(1+2*i)", "(1 + 2i)"),
+    ((1, 2), "coefficient", "(1+2*i)*x*y^2", "(1 + 2i)x y^{2}"),
+    ((1, 2), "non-leading", "x^3 + (1+2*i)*y", "x^{3} + (1 + 2i)y"),
+    ((1, 2), "trailing constant", "x^3 + (1+2*i)", "x^{3} + (1 + 2i)"),
+    ((Fraction(-1, 2), -1), "constant", "(-1/2-i)", "(-\\tfrac{1}{2} - i)"),
+    ((Fraction(-1, 2), -1), "coefficient", "(-1/2-i)*x*y^2", "(-\\tfrac{1}{2} - i)x y^{2}"),
+    ((Fraction(-1, 2), -1), "non-leading", "x^3 + (-1/2-i)*y", "x^{3} + (-\\tfrac{1}{2} - i)y"),
+    ((Fraction(-1, 2), -1), "trailing constant", "x^3 + (-1/2-i)", "x^{3} + (-\\tfrac{1}{2} - i)"),
+    ((3, Fraction(-2, 7)), "constant", "(3-2/7*i)", "(3 - \\tfrac{2}{7}i)"),
+    ((3, Fraction(-2, 7)), "coefficient", "(3-2/7*i)*x*y^2", "(3 - \\tfrac{2}{7}i)x y^{2}"),
+    ((3, Fraction(-2, 7)), "non-leading", "x^3 + (3-2/7*i)*y", "x^{3} + (3 - \\tfrac{2}{7}i)y"),
+    ((3, Fraction(-2, 7)), "trailing constant", "x^3 + (3-2/7*i)", "x^{3} + (3 - \\tfrac{2}{7}i)"),
+    ((5, 0), "constant", "5", "5"),
+    ((5, 0), "coefficient", "5*x*y^2", "5 x y^{2}"),
+    ((5, 0), "non-leading", "x^3 + 5*y", "x^{3} + 5 y"),
+    ((5, 0), "trailing constant", "x^3 + 5", "x^{3} + 5"),
+    ((Fraction(-3, 4), 0), "constant", "-3/4", "-\\tfrac{3}{4}"),
+    ((Fraction(-3, 4), 0), "coefficient", "-3/4*x*y^2", "-\\tfrac{3}{4} x y^{2}"),
+    ((Fraction(-3, 4), 0), "non-leading", "x^3 - 3/4*y", "x^{3} - \\tfrac{3}{4} y"),
+    ((Fraction(-3, 4), 0), "trailing constant", "x^3 - 3/4", "x^{3} - \\tfrac{3}{4}"),
+    ((1, 0), "constant", "1", "1"),
+    ((1, 0), "coefficient", "x*y^2", "x y^{2}"),
+    ((1, 0), "non-leading", "x^3 + y", "x^{3} + y"),
+    ((1, 0), "trailing constant", "x^3 + 1", "x^{3} + 1"),
+    ((-1, 0), "constant", "-1", "-1"),
+    ((-1, 0), "coefficient", "-x*y^2", "-x y^{2}"),
+    ((-1, 0), "non-leading", "x^3 - y", "x^{3} - y"),
+    ((-1, 0), "trailing constant", "x^3 - 1", "x^{3} - 1"),
+]
+
+
+def _gaussian_placement(placement, c):
+    ring = PolyRing(Field.C, VarTable())
+    x, y, c = ring.var("x"), ring.var("y"), ring.const(c)
+    return {
+        "constant": c,
+        "coefficient": c * x * y**2,
+        "non-leading": x**3 + c * y,
+        "trailing constant": x**3 + c,
+    }[placement]
+
+
+@pytest.mark.parametrize("parts, placement, text, latex", GAUSSIAN_RENDERINGS)
+def test_render_gaussian_coefficients(parts, placement, text, latex):
+    p = _gaussian_placement(placement, gaussian(*parts))
+    assert render_poly(p) == text
+    assert render_poly_latex(p) == latex
+
+
+def test_render_several_gaussian_terms():
+    ring = PolyRing(Field.C, VarTable())
+    x, y, a = ring.var("x"), ring.var("y"), ring.quantified("a")
+
+    def g(re, im):
+        return ring.const(gaussian(re, im))
+
+    p = g(1, 2) * x**2 - g(0, 1) * x * y + g(Fraction(-1, 2), -1) * y + g(0, Fraction(2, 3))
+    q = g(3, Fraction(-2, 7)) * a**2 * x + g(Fraction(-3, 4), 0) * a - g(0, 1) * y**2 + 1
+    assert render_poly(p, ("a",)) == "(1+2*i)*x^2 - i*x*y + (-1/2-i)*y + 2/3*i"
+    assert render_poly_latex(p, ("a",)) == "(1 + 2i)x^{2} - i x y + (-\\tfrac{1}{2} - i)y + \\tfrac{2}{3}i"
+    assert render_poly(q, ("a",)) == "(3-2/7*i)*a^2*x - i*y^2 - 3/4*a + 1"
+    assert render_poly_latex(q, ("a",)) == "(3 - \\tfrac{2}{7}i)a^{2} x - i y^{2} - \\tfrac{3}{4} a + 1"
+
+
 def test_univariate_view_roundtrip():
     ring, x, y, z = ring_xyz()
     p = x ** 3 - 2 * x + 1
