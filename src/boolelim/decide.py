@@ -8,8 +8,8 @@ squarefree computation. Over R the single-exists form is decided by Sturm
 counting; over Q only its construction is, whose real roots are rational.
 The per-conjunct and forall-exists real and rational shapes have no generic
 oracle here. Their deciders share one loop over the clause blocks of the
-construction layout, which they re-derive from the provenance and refuse if
-it does not match: over R a block is clause i's factors (at the selector node
+equation's construction, which a built equation is and a loaded one
+re-derives once: over R a block is clause i's factors (at the selector node
 i for a forall-first prefix, the only decisive universal values) sent to
 Sturm, over Q the three-squares criterion per gadget. A sampling refuter
 covers the rest, returning REFUTED with the bad universal value or
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .elim import GADGETS, QuantifiedEquation, Shape, SqrtValue, _is_node, build_for_shape
+from .elim import GADGETS, QuantifiedEquation, Shape, SqrtValue, _is_node
 from .errors import (
     MissingAssignmentError,
     ShapeUnsupportedError,
@@ -132,10 +132,6 @@ def _require_only(p: MultiPoly, allowed: set, what: str):
         raise UnexpectedVariablesError(f"{what}: unexpected variables {sorted(extra)}")
 
 
-def _scalar_views(polys, name: str):
-    return [as_univariate(c, name) for c in polys]
-
-
 # -- complete oracles over C ----------------------------------------------------
 
 
@@ -147,6 +143,27 @@ def exists_root_c(view: UniView) -> bool:
     if view.degree >= 1:
         return True
     return not view.scalars()[0]
+
+
+def _root_exists(p: MultiPoly, name: str, field: Field, what: str) -> bool:
+    """Whether p, a polynomial in name alone once a point is substituted, has
+    a root: any complex root over C, a real root by Sturm counting else."""
+    _require_only(p, {name}, what)
+    view = as_univariate(p, name)
+    if field is Field.C:
+        return exists_root_c(view)
+    return count_real_roots(view) != 0
+
+
+def _gcd_fold(polys: list, name: str) -> UniView:
+    """gcd of nonzero polynomials in name, stopping at the first constant."""
+    views = [as_univariate(c, name) for c in polys]
+    g = views[0]
+    for v in views[1:]:
+        g = gcd_univariate(g, v)
+        if g.degree == 0:
+            break
+    return g
 
 
 def _prefix_names(qe: QuantifiedEquation, pattern: tuple) -> tuple:
@@ -170,13 +187,7 @@ def decide_ea_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     nonzero = [c for c in coeffs if not c.is_zero()]
     if not nonzero:
         return True
-    views = _scalar_views(nonzero, a_name)
-    g = views[0]
-    for v in views[1:]:
-        g = gcd_univariate(g, v)
-        if g.degree == 0:
-            return False
-    return g.degree >= 1
+    return _gcd_fold(nonzero, a_name).degree >= 1
 
 
 def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -196,12 +207,7 @@ def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     high = [c for c in coeffs[1:] if not c.is_zero()]
     if not high:
         return d0.is_zero()
-    views = _scalar_views(high, a_name)
-    g = views[0]
-    for v in views[1:]:
-        g = gcd_univariate(g, v)
-        if g.degree == 0:
-            return True
+    g = _gcd_fold(high, a_name)
     if g.degree == 0:
         return True
     sf = squarefree_part(g)
@@ -218,9 +224,7 @@ def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
 def has_real_root(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Whether p(r, x) = 0 has a real root r, by Sturm root counting."""
     (r_name,) = _prefix_names(qe, ("exists",))
-    p = qe.substituted_equation(x)
-    _require_only(p, {r_name}, "has_real_root")
-    return count_real_roots(as_univariate(p, r_name)) != 0
+    return _root_exists(qe.substituted_equation(x), r_name, Field.R, "has_real_root")
 
 
 def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -230,39 +234,18 @@ def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
     so at a rational point a real root is a rational one. A Q equation that
     does not re-derive from its provenance is refused."""
     if qe.field is Field.Q:
-        qe = _structured(qe, Shape.E_R)
+        qe = _construction_of(qe, Shape.E_R)
     return has_real_root(qe, x)
 
 
 # -- structured deciders -----------------------------------------------------------
 
 
-def _layout_matches(a: QuantifiedEquation, b: QuantifiedEquation) -> bool:
-    return (
-        a.prefix == b.prefix
-        and a.power == b.power
-        and a.addends == b.addends
-        and a.guard == b.guard
-    )
-
-
-def _structured(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
-    """The construction re-derived from provenance; rejects anything whose
-    equation does not reproduce. Validation is cached on the instance."""
+def _construction_of(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
+    """The construction of an equation of the given shape."""
     if qe.shape is not shape:
         raise ShapeUnsupportedError(f"expected shape {shape.value}, got {qe.shape.value}")
-    if qe._rebuilt is not None:
-        return qe._rebuilt
-    if qe.provenance is None:
-        raise ShapeUnsupportedError("no provenance matrix to re-derive from")
-    rebuilt = build_for_shape(shape, qe.provenance)
-    if _layout_matches(rebuilt, qe):
-        qe._rebuilt = qe
-        return qe
-    if rebuilt.equation == qe.equation:
-        qe._rebuilt = rebuilt
-        return rebuilt
-    raise ShapeUnsupportedError("equation does not re-derive from its provenance")
+    return qe.construction()
 
 
 def _q_positive_representable(u: Fraction) -> bool:
@@ -302,13 +285,12 @@ def _block_vanishes(qe: QuantifiedEquation, x: Mapping, i: int) -> bool:
     block = qe.ring.one
     for f in qe.addends[i]:
         block = block * f.substitute(point)
-    _require_only(block, {name}, f"decide {qe.shape.value}")
-    return count_real_roots(as_univariate(block, name)) != 0
+    return _root_exists(block, name, qe.field, f"decide {qe.shape.value}")
 
 
 def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, shape: Shape) -> bool:
-    qe2 = _structured(qe, shape)
-    return all(_block_vanishes(qe2, x, i) for i in range(qe2.provenance.d))
+    built = _construction_of(qe, shape)
+    return all(_block_vanishes(built, x, i) for i in range(built.provenance.d))
 
 
 def decide_ed_r(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -388,23 +370,15 @@ class SamplePlan:
 
 
 def _inner_exists_true(qe: QuantifiedEquation, x: Mapping, alpha) -> bool:
-    univ = qe.prefix[0][1]
     exists_names = [n for q, n in qe.prefix if q == "exists"]
     if len(exists_names) > 1:
         # only the structured Q shape carries several inner variables
-        qe2 = _structured(qe, Shape.AE3_Q)
-        node = _is_node(alpha, qe2.provenance.d)
+        built = _construction_of(qe, Shape.AE3_Q)
+        node = _is_node(alpha, built.provenance.d)
         # off the nodes the guard vanishes at w1 = 1/prod(alpha - i)
-        return node is None or _block_vanishes(qe2, x, node - 1)
-    point = dict(x)
-    point[univ] = alpha
-    p = qe.substituted_equation(point)
-    name = exists_names[0]
-    _require_only(p, {name}, "refute_ae")
-    view = as_univariate(p, name)
-    if qe.field is Field.C:
-        return exists_root_c(view)
-    return count_real_roots(view) != 0
+        return node is None or _block_vanishes(built, x, node - 1)
+    p = qe.substituted_equation({**x, qe.prefix[0][1]: alpha})
+    return _root_exists(p, exists_names[0], qe.field, "refute_ae")
 
 
 def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:

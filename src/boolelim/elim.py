@@ -24,6 +24,8 @@ equation; the CNF constructions, witness extraction and the deciders read it.
 _node_product is the one product over the nodes 1..d, behind the selectors,
 the guard, the off-node witness and the degree report. Quantified names are
 spelled out only in _BUILDERS; everything else reads them from the prefix.
+An equation that build_for_shape returns is its own construction(); any
+other equation rebuilds it from its provenance once.
 
 Every equation has one layout, guard * sum_i (prod_j f_ij)^k with k in {1, 2}:
 the product shapes have a unit guard and one addend holding the clause
@@ -53,14 +55,18 @@ from .errors import (
     NeqLiteralError,
     NoWitnessError,
     OrderLiteralError,
+    ShapeUnsupportedError,
     WrongKindError,
 )
 from .exactnum import GaussianRational, positivity_witness_q
 from .formula import (
+    FALSE,
+    TRUE,
     ClauseMatrix,
     NormalForm,
     Rel,
     eval_formula,
+    make_atom,
     parse,
     parse_term,
     render_formula,
@@ -98,9 +104,13 @@ class QuantifiedEquation:
     addends: tuple = ()
     power: int = 1
     provenance: ClauseMatrix | None = None
-    _equation: MultiPoly | None = dc_field(default=None, repr=False)
-    # cache for provenance re-derivation checks done by the structured deciders
-    _rebuilt: "QuantifiedEquation | None" = dc_field(default=None, repr=False)
+    # caches, which copies start without: the expansion, and the construction,
+    # True when build_for_shape made this equation (a mark, not a reference
+    # cycle that would keep a dropped equation alive until the cyclic GC runs)
+    _equation: MultiPoly | None = dc_field(default=None, init=False, compare=False, repr=False)
+    _construction: "QuantifiedEquation | bool | None" = dc_field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.guard is None:
@@ -141,6 +151,18 @@ class QuantifiedEquation:
         x = dict(x)
         return self.fold(lambda p: p.substitute(x))
 
+    def construction(self) -> "QuantifiedEquation":
+        """The equation itself when build_for_shape made it, else the rebuild
+        from its provenance, kept once its expansion equals this equation."""
+        if self._construction is None:
+            if self.provenance is None:
+                raise ShapeUnsupportedError("no provenance matrix to re-derive from")
+            rebuilt = build_for_shape(self.shape, self.provenance)
+            if rebuilt.equation != self.equation:
+                raise ShapeUnsupportedError("equation does not re-derive from its provenance")
+            self._construction = rebuilt
+        return self if self._construction is True else self._construction
+
 
 # -- the shape table -----------------------------------------------------------
 
@@ -158,7 +180,9 @@ class ShapeSpec:
 
 
 def _node_bound(c: dict) -> tuple:
-    """The forall variable of a selector sum over d nodes: 2d - 1, exact."""
+    """The forall variable of a selector sum over d nodes: 2d - 1, claimed
+    exact; the degree report withdraws the claim when the leading
+    coefficient cancels."""
     return max(0, 2 * c["d"] - 1), c["d"] > 0
 
 
@@ -412,8 +436,9 @@ def build_for_shape(shape: Shape, m: ClauseMatrix) -> QuantifiedEquation:
     if m.ring is not None and m.ring.field not in spec.fields:
         names = "/".join(sorted(f.value for f in spec.fields))
         raise FieldMismatchError(f"{what} works over {names}, got {m.ring.field.value}")
+    m = _fold_constants(m)
     ring, prefix, guard, addends = _BUILDERS[shape](m)
-    return QuantifiedEquation(
+    qe = QuantifiedEquation(
         field=ring.field,
         prefix=prefix,
         shape=shape,
@@ -423,6 +448,26 @@ def build_for_shape(shape: Shape, m: ClauseMatrix) -> QuantifiedEquation:
         power=spec.power,
         provenance=m,
     )
+    qe._construction = True
+    return qe
+
+
+def _fold_constants(m: ClauseMatrix) -> ClauseMatrix:
+    """m with its constant literals folded as make_atom folds them: under
+    DNF a true literal leaves its clause and a false one drops the clause,
+    under CNF the other way round. A matrix without constant literals comes
+    back as it is."""
+    if not any(a.term.is_constant() for cl in m.clauses for a in cl):
+        return m
+    drops_clause = FALSE if m.kind is NormalForm.DNF else TRUE
+    clauses = tuple(
+        tuple(a for a in cl if not a.term.is_constant())
+        for cl in m.clauses
+        if not any(
+            a.term.is_constant() and make_atom(a.term, a.rel) is drops_clause for a in cl
+        )
+    )
+    return ClauseMatrix(m.kind, clauses, m.ring, m.raw_clause_count)
 
 
 # -- degree reports ------------------------------------------------------------
@@ -509,13 +554,15 @@ def _deg(p: MultiPoly, name: str) -> int:
     return int(d) if d > 0 else 0
 
 
-def _measured_degrees(qe: QuantifiedEquation) -> dict:
+def _measured_degrees(qe: QuantifiedEquation) -> tuple[dict, bool]:
     """deg(guard) + power * max_i sum_j deg f_ij per quantified variable; the
     forall variable of a forall-first prefix takes the exact degree of the
-    selector sum instead of the addend bound."""
+    selector sum instead of the addend bound. Also whether that selector sum
+    has its full degree, the selectors' d - 1, which is when its leading
+    coefficient, the sum of the A_i, is nonzero."""
     names = qe.quantified_names()
     if not qe.addends:
-        return {z: 0 for z in names}
+        return {z: 0 for z in names}, True
     out = {
         z: _deg(qe.guard, z)
         + qe.power * max(sum(_deg(f, z) for f in addend) for addend in qe.addends)
@@ -525,9 +572,10 @@ def _measured_degrees(qe: QuantifiedEquation) -> dict:
         zu = names[0]
         s_deg = _universal_degree(qe, zu)
         if s_deg is None:
-            return {z: 0 for z in names}
+            return {z: 0 for z in names}, False
         out[zu] = _deg(qe.guard, zu) + s_deg
-    return out
+        return out, s_deg == len(qe.addends) - 1
+    return out, True
 
 
 def degree_report(qe: QuantifiedEquation) -> DegreeReport:
@@ -552,13 +600,17 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
         "f_max": f_max,
         "raw_d": m.raw_clause_count,
     }
-    degrees = _measured_degrees(qe)
+    degrees, full = _measured_degrees(qe)
     claims = dict(zip(qe.quantified_names(), SHAPE_SPECS[qe.shape].bounds(counts)))
     bounds = {z: b for z, (b, _) in claims.items()}
     exact = {z: e for z, (_, e) in claims.items()}
     if d == 0:  # an empty matrix: every degree is exactly 0
         bounds = {z: 0 for z in degrees}
         exact = {z: True for z in degrees}
+    elif not full:
+        # the selectors are monic of degree d - 1, so the forall degree is
+        # 2d - 1 only when the A_i do not sum to zero; else 2d - 1 bounds it
+        exact[qe.prefix[0][1]] = False
     ok = True
     for z, dv in degrees.items():
         b = bounds.get(z, 0)
@@ -696,8 +748,9 @@ def to_json(qe: QuantifiedEquation) -> str:
 
 def from_json(text: str) -> QuantifiedEquation:
     """Rebuild a quantified equation; the result is opaque (expanded
-    polynomial only), which is enough for the complete deciders. Structured
-    deciders re-run the construction from the provenance entry."""
+    polynomial only), which is enough for the complete deciders. For the
+    structured ones its construction() re-runs the construction from the
+    provenance entry once."""
     obj = json.loads(text)
     fld = Field(obj["field"])
     ring = PolyRing(fld)

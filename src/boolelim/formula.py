@@ -13,7 +13,9 @@ Every relation is normalized to a constraint against zero: p REL q becomes
 (p - q) REL 0, and the order sugar resolves at parse time (t >= 0 becomes
 t > 0 \\/ t = 0, t < 0 becomes -t > 0, t <= 0 becomes -t > 0 \\/ t = 0).
 Order relations are rejected over the complex field. Over C the identifier
-"i" denotes the imaginary unit.
+"i" denotes the imaginary unit. A product chain or power that would multiply
+out more than MAX_TERM_PRODUCTS term products is refused with SizeLimitError
+before it is multiplied out.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     SizeLimitError,
 )
 from .exactnum import IMAG_UNIT, GaussianRational
-from .poly import Field, MultiPoly, PolyRing
+from .poly import MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing
 
 DEFAULT_CLAUSE_LIMIT = 4096
 
@@ -317,9 +319,13 @@ class _Parser:
 
     def product(self) -> MultiPoly:
         node = self.unary()
+        spent = 0
         while self.peek().kind == "STAR":
-            self.advance()
-            node = node * self.unary()
+            t = self.advance()
+            rhs = self.unary()
+            spent += len(node.terms) * len(rhs.terms)
+            _check_term_products(spent, t)
+            node = node * rhs
         return node
 
     def unary(self) -> MultiPoly:
@@ -331,9 +337,10 @@ class _Parser:
     def power(self) -> MultiPoly:
         base = self.base()
         while self.peek().kind == "CARET":
-            self.advance()
-            e = self.expect("NUM", "a nonnegative integer exponent")
-            base = base ** int(e.text)
+            t = self.advance()
+            e = int(self.expect("NUM", "a nonnegative integer exponent").text)
+            _check_term_products(_power_products(len(base.terms), e), t)
+            base = base**e
         return base
 
     def base(self) -> MultiPoly:
@@ -357,6 +364,32 @@ class _Parser:
             self.expect("RPAREN", "')'")
             return node
         raise FormulaSyntaxError(t.pos, "a variable, number, or '('", t.text or "end of input")
+
+
+def _power_products(n: int, e: int) -> int:
+    """The term products of multiplying out an n-term polynomial p to the
+    power e as the e - 1 products p * p^k, where p^k has at most
+    C(k + n - 1, n - 1) terms: n * (C(e + n - 1, n) - 1) in all. The binomial
+    is built up only until the count passes the budget; each step at least
+    doubles it, so that takes a bounded number of steps. A power of one term
+    is one term, which squaring reaches in log e products: it counts 0."""
+    if n < 2:
+        return 0
+    m, k = e + n - 1, min(n, e - 1)
+    c = 1
+    for j in range(1, k + 1):
+        c = c * (m - k + j) // j
+        if n * (c - 1) > MAX_TERM_PRODUCTS:
+            break
+    return n * (c - 1)
+
+
+def _check_term_products(count: int, at: _Tok) -> None:
+    if count > MAX_TERM_PRODUCTS:
+        raise SizeLimitError(
+            f"the product or power at position {at.pos} multiplies out more than "
+            f"{MAX_TERM_PRODUCTS} term products"
+        )
 
 
 def parse(text: str, fld: Field) -> Formula:

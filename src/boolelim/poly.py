@@ -40,6 +40,9 @@ INFINITE = float("inf")
 # a univariate view holds one coefficient per power up to its degree; the
 # constructions stay far below this within the default clause budget
 MAX_UNIVARIATE_DEGREE = 1 << 16
+# the term products one parsed product or power may multiply out; parsing a
+# rendered construction multiplies only single terms
+MAX_TERM_PRODUCTS = 1 << 18
 
 Scalar = Union[Fraction, GaussianRational]
 Mono = tuple  # tuple[tuple[int, int], ...]
