@@ -192,7 +192,7 @@ def _load_equation(arg: str) -> QuantifiedEquation:
         obj = json.loads(text)
         inner = obj.get("equation") if isinstance(obj, dict) else None
         return from_json(json.dumps(inner) if isinstance(inner, dict) else text)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"bad equation JSON: {exc}") from exc
 
 

@@ -8,10 +8,11 @@ squarefree computation. Over R the single-exists form is decided by Sturm
 counting; over Q only its construction is, whose real roots are rational.
 The per-conjunct and forall-exists real and rational shapes have no generic
 oracle here. Their deciders share one loop over the clause blocks of the
-equation's construction, which a built equation is and a loaded one
-re-derives once: over R a block is clause i's factors (at the selector node
-i for a forall-first prefix, the only decisive universal values) sent to
-Sturm, over Q the three-squares criterion per gadget. A sampling refuter
+equation's construction, which a built equation is, and so is one loaded
+with its provenance, since from_json rebuilds it; any other equation is
+refused. Over R a block is clause i's factors (at the selector node i for
+a forall-first prefix, the only decisive universal values) sent to Sturm,
+over Q the three-squares criterion per gadget. A sampling refuter
 covers the rest, returning REFUTED with the bad universal value or
 UNRESOLVED after its budget.
 """

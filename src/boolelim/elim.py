@@ -24,18 +24,19 @@ equation; the CNF constructions, witness extraction and the deciders read it.
 _node_product is the one product over the nodes 1..d, behind the selectors,
 the guard, the off-node witness and the degree report. Quantified names are
 spelled out only in _BUILDERS; everything else reads them from the prefix.
-An equation that build_for_shape returns is its own construction(); any
-other equation rebuilds it from its provenance once.
+An equation that build_for_shape returns is its own construction(), and so
+is one that from_json loads with a provenance entry: from_json rebuilds it
+from the recorded matrix, the one place a loaded equation is re-derived.
 
 Every equation has one layout, guard * sum_i (prod_j f_ij)^k with k in {1, 2}:
 the product shapes have a unit guard and one addend holding the clause
 factors, the sum-of-squares shapes a unit guard, one addend per clause and
 k = 2, and the forall-first shapes the guard bracket over selector addends,
-each starting with its selector. A deserialized equation is its expanded
-polynomial in the guard with one empty addend. Expanding, substituting,
-evaluating, degree counting and LaTeX all walk this layout, and the expanded
-polynomial is computed lazily. The facts each shape needs of its input and
-its layout are in one table, SHAPE_SPECS.
+each starting with its selector. An equation loaded without provenance is
+its expanded polynomial in the guard with one empty addend. Expanding,
+substituting, evaluating, degree counting and LaTeX all walk this layout,
+and the expanded polynomial is computed lazily. The facts each shape needs
+of its input and its layout are in one table, SHAPE_SPECS.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .errors import (
     NoWitnessError,
     OrderLiteralError,
     ShapeUnsupportedError,
+    SizeLimitError,
     WrongKindError,
 )
 from .exactnum import GaussianRational, positivity_witness_q
@@ -73,7 +75,15 @@ from .formula import (
     to_cnf,
     to_dnf,
 )
-from .poly import Field, MultiPoly, PolyRing, as_univariate, render_poly, render_poly_latex
+from .poly import (
+    MAX_TERM_PRODUCTS,
+    Field,
+    MultiPoly,
+    PolyRing,
+    as_univariate,
+    render_poly,
+    render_poly_latex,
+)
 
 
 class Shape(enum.Enum):
@@ -90,6 +100,10 @@ def _is_unit(p: MultiPoly) -> bool:
     return len(p.terms) == 1 and p.terms.get(()) == 1
 
 
+def _term_count(v) -> int:
+    return len(v.terms) if isinstance(v, MultiPoly) else 1
+
+
 @dataclass
 class QuantifiedEquation:
     """A quantifier prefix over one polynomial equation, kept in the layout
@@ -104,13 +118,10 @@ class QuantifiedEquation:
     addends: tuple = ()
     power: int = 1
     provenance: ClauseMatrix | None = None
-    # caches, which copies start without: the expansion, and the construction,
-    # True when build_for_shape made this equation (a mark, not a reference
-    # cycle that would keep a dropped equation alive until the cyclic GC runs)
+    # which copies start without: the expansion cache, and the mark that
+    # build_for_shape made this equation
     _equation: MultiPoly | None = dc_field(default=None, init=False, compare=False, repr=False)
-    _construction: "QuantifiedEquation | bool | None" = dc_field(
-        default=None, init=False, compare=False, repr=False
-    )
+    _construction: bool = dc_field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.guard is None:
@@ -119,25 +130,36 @@ class QuantifiedEquation:
     def quantified_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.prefix)
 
-    def is_opaque(self) -> bool:
-        """True for deserialized equations, which carry only the expanded
-        polynomial (in the guard, over one empty addend)."""
-        return self.addends == ((),)
-
     def free_names(self) -> tuple[str, ...]:
         return self.ring.table.free_names()
 
-    def addend_values(self, fmap: Callable) -> list:
+    def addend_values(self, fmap: Callable, times: Callable = mul) -> list:
         """prod_j fmap(f_ij) per addend i, for a per-factor map: the
         identity, a substitution or an evaluation. An empty product maps 1."""
-        return [reduce(mul, map(fmap, a or (self.ring.one,))) for a in self.addends]
+        return [reduce(times, map(fmap, a or (self.ring.one,))) for a in self.addends]
 
     def fold(self, fmap: Callable):
         """fmap(guard) * sum_i (prod_j fmap(f_ij))^power: the equation under
-        a per-factor map, multiplied out after mapping the small factors."""
-        values = [v * v if self.power == 2 else v for v in self.addend_values(fmap)]
+        a per-factor map, multiplied out after mapping the small factors.
+        Each multiplication counts its term products first (a scalar is one
+        term); past MAX_TERM_PRODUCTS in one fold it raises SizeLimitError."""
+        spent = 0
+
+        def times(p, q):
+            nonlocal spent
+            spent += _term_count(p) * _term_count(q)
+            if spent > MAX_TERM_PRODUCTS:
+                raise SizeLimitError(
+                    f"expanding the {self.shape.value} equation multiplies out more "
+                    f"than {MAX_TERM_PRODUCTS} term products"
+                )
+            return p * q
+
+        values = self.addend_values(fmap, times)
+        if self.power == 2:
+            values = [times(v, v) for v in values]
         total = sum(values[1:], values[0]) if values else fmap(self.ring.zero)
-        return total if _is_unit(self.guard) else fmap(self.guard) * total
+        return total if _is_unit(self.guard) else times(fmap(self.guard), total)
 
     @property
     def equation(self) -> MultiPoly:
@@ -152,16 +174,13 @@ class QuantifiedEquation:
         return self.fold(lambda p: p.substitute(x))
 
     def construction(self) -> "QuantifiedEquation":
-        """The equation itself when build_for_shape made it, else the rebuild
-        from its provenance, kept once its expansion equals this equation."""
-        if self._construction is None:
+        """The equation itself when build_for_shape made it, directly or in
+        from_json; any other equation, such as a copy, is refused."""
+        if not self._construction:
             if self.provenance is None:
                 raise ShapeUnsupportedError("no provenance matrix to re-derive from")
-            rebuilt = build_for_shape(self.shape, self.provenance)
-            if rebuilt.equation != self.equation:
-                raise ShapeUnsupportedError("equation does not re-derive from its provenance")
-            self._construction = rebuilt
-        return self if self._construction is True else self._construction
+            raise ShapeUnsupportedError("equation does not re-derive from its provenance")
+        return self
 
 
 # -- the shape table -----------------------------------------------------------
@@ -747,35 +766,32 @@ def to_json(qe: QuantifiedEquation) -> str:
 
 
 def from_json(text: str) -> QuantifiedEquation:
-    """Rebuild a quantified equation; the result is opaque (expanded
-    polynomial only), which is enough for the complete deciders. For the
-    structured ones its construction() re-runs the construction from the
-    provenance entry once."""
+    """Load a serialized equation. With a provenance entry, build_for_shape
+    rebuilds it from the recorded matrix, so it is its own construction();
+    the file's equation text is not parsed, only compared with the rebuild's
+    rendering, and a file whose field, prefix or equation differs from the
+    rebuild's is refused with ShapeUnsupportedError. Without one it is
+    opaque, its parsed polynomial only, which the complete deciders read."""
     obj = json.loads(text)
     fld = Field(obj["field"])
     ring = PolyRing(fld)
     for name in obj.get("vars", ()):
         ring.var(name)
     prefix = tuple((q, n) for q, n in obj["prefix"])
+    shape = Shape(obj["shape"])
+    prov = obj.get("provenance")
+    if prov is not None:
+        phi = parse(prov["formula"], fld, ring)
+        m = to_dnf(phi) if NormalForm(prov["kind"]) is NormalForm.DNF else to_cnf(phi)
+        qe = build_for_shape(shape, m)
+        rendered = render_poly(qe.equation, qe.quantified_names())
+        if (qe.field, qe.prefix, rendered) != (fld, prefix, obj["equation"]):
+            raise ShapeUnsupportedError("equation does not re-derive from its provenance")
+        return qe
     for _, n in prefix:
         ring.quantified(n)
     eq = parse_term(obj["equation"], ring)
-    shape = Shape(obj["shape"])
-    provenance = None
-    prov = obj.get("provenance")
-    if prov is not None:
-        phi = parse(prov["formula"], fld)
-        kind = NormalForm(prov["kind"])
-        provenance = to_dnf(phi) if kind is NormalForm.DNF else to_cnf(phi)
-    qe = QuantifiedEquation(
-        field=fld,
-        prefix=prefix,
-        shape=shape,
-        ring=ring,
-        guard=eq,
-        addends=((),),
-        provenance=provenance,
-    )
+    qe = QuantifiedEquation(fld, prefix, shape, ring, guard=eq, addends=((),))
     qe._equation = eq
     return qe
 

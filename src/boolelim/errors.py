@@ -44,8 +44,9 @@ class OrderOnComplexError(BoolElimError):
 
 class SizeLimitError(BoolElimError):
     """A size budget was exceeded: the clause budget of normal-form
-    distribution, the term budget of a parsed product or power, or the
-    degree limit of a univariate view."""
+    distribution, the term budget of a parsed product or power or of an
+    equation's expansion, the parser's nesting depth, or the degree limit of
+    a univariate view."""
 
 
 class WrongKindError(BoolElimError):

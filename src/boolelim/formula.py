@@ -15,7 +15,8 @@ t > 0 \\/ t = 0, t < 0 becomes -t > 0, t <= 0 becomes -t > 0 \\/ t = 0).
 Order relations are rejected over the complex field. Over C the identifier
 "i" denotes the imaginary unit. A product chain or power that would multiply
 out more than MAX_TERM_PRODUCTS term products is refused with SizeLimitError
-before it is multiplied out.
+before it is multiplied out, and so is nesting deeper than MAX_NESTING_DEPTH
+parentheses, negations and signs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import random
 import re as _re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Callable
 
 from .errors import (
     FormulaSyntaxError,
@@ -34,7 +36,7 @@ from .errors import (
     SizeLimitError,
 )
 from .exactnum import IMAG_UNIT, GaussianRational
-from .poly import MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing
+from .poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing
 
 DEFAULT_CLAUSE_LIMIT = 4096
 
@@ -219,6 +221,7 @@ class _Parser:
         self.toks = toks
         self.k = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.k]
@@ -233,6 +236,19 @@ class _Parser:
         if t.kind != kind:
             raise FormulaSyntaxError(t.pos, what, t.text or "end of input")
         return self.advance()
+
+    def nested(self, parse: Callable):
+        """Skip the opening token, then parse() one level deeper."""
+        t = self.advance()
+        if self.depth >= MAX_NESTING_DEPTH:
+            raise SizeLimitError(
+                f"nesting deeper than {MAX_NESTING_DEPTH} levels at position {t.pos}"
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     # formula level
 
@@ -259,8 +275,7 @@ class _Parser:
 
     def not_expr(self) -> Formula:
         if self.peek().kind == "NOT":
-            self.advance()
-            return f_not(self.not_expr())
+            return f_not(self.nested(self.not_expr))
         return self.primary()
 
     def primary(self) -> Formula:
@@ -278,8 +293,7 @@ class _Parser:
                 return self.atom()
             except FormulaSyntaxError:
                 self.k = mark
-            self.advance()
-            node = self.or_expr()
+            node = self.nested(self.or_expr)
             self.expect("RPAREN", "')'")
             return node
         return self.atom()
@@ -330,8 +344,7 @@ class _Parser:
 
     def unary(self) -> MultiPoly:
         if self.peek().kind == "MINUS":
-            self.advance()
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.power()
 
     def power(self) -> MultiPoly:
@@ -359,8 +372,7 @@ class _Parser:
                 return self.ring.const(IMAG_UNIT)
             return self.ring.var(t.text)
         if t.kind == "LPAREN":
-            self.advance()
-            node = self.term()
+            node = self.nested(self.term)
             self.expect("RPAREN", "')'")
             return node
         raise FormulaSyntaxError(t.pos, "a variable, number, or '('", t.text or "end of input")
@@ -392,10 +404,10 @@ def _check_term_products(count: int, at: _Tok) -> None:
         )
 
 
-def parse(text: str, fld: Field) -> Formula:
-    """Parse a formula; free variables register in order of first appearance."""
-    ring = PolyRing(fld)
-    return _Parser(_tokenize(text), ring).formula()
+def parse(text: str, fld: Field, ring: PolyRing | None = None) -> Formula:
+    """Parse a formula over fld; free variables register in order of first
+    appearance, after those a given ring of that field already holds."""
+    return _Parser(_tokenize(text), ring or PolyRing(fld)).formula()
 
 
 def parse_term(text: str, ring: PolyRing) -> MultiPoly:

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 from .errors import (
     FieldMismatchError,
     SizeLimitError,
+    UnexpectedVariablesError,
     VariableCollisionError,
     ZeroPolynomialError,
 )
@@ -40,9 +41,15 @@ INFINITE = float("inf")
 # a univariate view holds one coefficient per power up to its degree; the
 # constructions stay far below this within the default clause budget
 MAX_UNIVARIATE_DEGREE = 1 << 16
-# the term products one parsed product or power may multiply out; parsing a
-# rendered construction multiplies only single terms
+# the term products one parsed product or power, or one expansion of an
+# equation's layout, may multiply out; parsing a rendered construction
+# multiplies only single terms
 MAX_TERM_PRODUCTS = 1 << 18
+# the parentheses, negations and signs a parsed formula or term may nest; the
+# parser descends about six frames per level, so a parse at this depth stays
+# near 620 frames, under the interpreter's default recursion limit of 1000
+# with room for a caller's own stack, such as a test runner's
+MAX_NESTING_DEPTH = 100
 
 Scalar = Union[Fraction, GaussianRational]
 Mono = tuple  # tuple[tuple[int, int], ...]
@@ -298,7 +305,8 @@ class MultiPoly:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Mapping[str, object]) -> Scalar:
-        """Exact value at a full point; every variable present must be bound.
+        """Exact value at a full point; a variable present that the point
+        does not bind raises UnexpectedVariablesError.
 
         An int, Fraction or GaussianRational value is coerced into the
         ring's scalars; any other value, such as a quadratic-extension
@@ -314,7 +322,10 @@ class MultiPoly:
                 k = (idx, e)
                 p = cache.get(k)
                 if p is None:
-                    v = point[names.name_of(idx)]
+                    name = names.name_of(idx)
+                    if name not in point:
+                        raise UnexpectedVariablesError(f"the point gives no value for {name!r}")
+                    v = point[name]
                     if type(v) is not own and isinstance(v, (int, Fraction, GaussianRational)):
                         v = ring.scalar(v)
                     p = v**e

@@ -368,3 +368,20 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("form", ["e3d", "ae3"])
+@pytest.mark.parametrize("refute", [False, True])
+def test_q_structured_decide_at_a_point_missing_a_variable(tmp_path, form, refute):
+    """The deciders evaluate the recorded literals at the point, which lacks x:
+    an input error, or for the exists-only form the refuter's shape refusal."""
+    f = write(tmp_path, "f.txt", "x > 0 \\/ y = 0")
+    _, payload = run(
+        ["eliminate", "--field", "q", "--form", form, "--input", f, "--output", "json"]
+    )
+    eq = write(tmp_path, "eq.json", payload)
+    argv = ["decide", "--input", eq, "--point", "y=1"]
+    if refute:
+        argv += ["--refute", "--seed", "1"]
+    want = EXIT_SHAPE if refute and form == "e3d" else EXIT_PARSE
+    assert run(argv)[0] == want

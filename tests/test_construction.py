@@ -1,6 +1,6 @@
-"""An equation that build_for_shape returns is its own construction; a loaded
-one rebuilds its construction from the provenance once. Builder calls are
-counted by wrapping the entries of elim._BUILDERS. Also here: constant
+"""An equation that build_for_shape returns is its own construction, and so
+is a loaded one, which from_json rebuilds from its provenance once. Builder
+calls are counted by wrapping the entries of elim._BUILDERS. Also here: constant
 literals folded before construction, and the degree report's forall-degree
 claim when the clause products cancel."""
 
@@ -78,15 +78,17 @@ def test_built_equation_decides_without_a_rebuild(shape, fld, text, builder_call
 @pytest.mark.parametrize("shape,fld,text", STRUCTURED, ids=lambda v: getattr(v, "value", ""))
 def test_loaded_equation_rebuilds_once(shape, fld, text, builder_calls):
     phi, qe = built(shape, fld, text)
+    builder_calls.clear()
     back = from_json(to_json(qe))
+    assert builder_calls == Counter({shape: 1})
     builder_calls.clear()
     decide = decider_for_shape(shape)
     for x in POINTS:
         assert decide(back, x) == eval_formula(phi, x)
     if shape is Shape.AE3_Q:
         refute_ae(back, POINTS[1], SamplePlan(seed=3, count=8))
-    assert builder_calls == Counter({shape: 1})
-    assert back.construction().equation == back.equation
+    assert builder_calls == Counter()
+    assert back.construction() is back
 
 
 def test_copies_start_without_the_mark(builder_calls):
@@ -94,9 +96,9 @@ def test_copies_start_without_the_mark(builder_calls):
     copy = dataclasses.replace(qe)
     assert copy == qe and "_construction" not in repr(copy)
     builder_calls.clear()
-    assert copy.construction() is not copy
-    assert copy.construction() is copy.construction()
-    assert builder_calls == Counter({Shape.AE_R: 1})
+    with pytest.raises(ShapeUnsupportedError):
+        copy.construction()
+    assert builder_calls == Counter()
 
 
 def test_copy_with_another_layout_does_not_keep_the_old_expansion():
@@ -114,6 +116,46 @@ def test_loaded_equation_that_does_not_re_derive_is_refused():
     obj["equation"] += " + 1"
     with pytest.raises(ShapeUnsupportedError, match="does not re-derive"):
         decider_for_shape(Shape.E3d_Q)(from_json(json.dumps(obj)), POINTS[0])
+
+
+def _cli(monkeypatch, argv, stdin=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    out = io.StringIO()
+    return main(argv, out=out), out.getvalue()
+
+
+def _eliminated(monkeypatch, text, field, form):
+    """The equation object of `eliminate --output json`."""
+    argv = ["eliminate", "--field", field, "--form", form, "--output", "json"]
+    return json.loads(_cli(monkeypatch, argv, text)[1])["equation"]
+
+
+def test_loaded_ea_file_that_contradicts_its_provenance_exits_6(tmp_path, monkeypatch):
+    obj = _eliminated(monkeypatch, CROSS_NEQ, "c", "ea")
+    obj["equation"] += " + 1"
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(obj))
+    assert _cli(monkeypatch, ["decide", "--input", str(path), "--point", "y=0,z=3"])[0] == 6
+
+
+def test_loaded_ea_file_without_provenance_is_decided(tmp_path, monkeypatch):
+    obj = _eliminated(monkeypatch, CROSS_NEQ, "c", "ea")
+    del obj["provenance"]
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(obj))
+    for point, want in (("y=0,z=3", "TRUE\n"), ("y=1,z=1", "FALSE\n")):
+        assert _cli(monkeypatch, ["decide", "--input", str(path), "--point", point]) == (0, want)
+
+
+def test_round_tripped_file_keeps_the_order_of_its_free_variables(tmp_path, monkeypatch):
+    """The provenance renders as -y^2 + z = 0 /\\ y - 1 != 0, naming y first;
+    the loaded equation keeps the file's order, z before y."""
+    obj = _eliminated(monkeypatch, "z = y^2 /\\ y != 1", "r", "e")
+    assert obj["vars"] == ["z", "y"] and obj["provenance"]["formula"].startswith("-y^2")
+    path = tmp_path / "eq.json"
+    path.write_text(to_json(from_json(json.dumps(obj))))
+    code, got = _cli(monkeypatch, ["plot", "--input", str(path), "--grid=0:1:1"])
+    assert code == 0 and got.splitlines()[0] == "z,y,has_real_root"
 
 
 # -- constant literals -------------------------------------------------------------

@@ -252,7 +252,7 @@ def test_structured_decider_accepts_serialized_equation():
 
     phi, qe = built(Shape.AE3_Q, 8, clauses=2)
     back = from_json(to_json(qe))
-    assert back.is_opaque()
+    assert back.construction() is back
     rng = random.Random(42)
     for _ in range(8):
         pt = sample_point(rng, Field.Q, list(back.free_names()))

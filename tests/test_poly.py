@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from boolelim.errors import FieldMismatchError
+from boolelim.errors import FieldMismatchError, UnexpectedVariablesError
 from boolelim.exactnum import gaussian
 from boolelim.poly import (
     INFINITE,
@@ -322,3 +322,10 @@ def test_field_from_letter():
     assert Field.from_letter("r") is Field.R
     with pytest.raises(ValueError):
         Field.from_letter("Z")
+
+
+def test_evaluate_names_a_variable_the_point_lacks():
+    ring = PolyRing(Field.Q)
+    p = ring.var("x") * ring.var("y")
+    with pytest.raises(UnexpectedVariablesError, match="'y'"):
+        p.evaluate({"x": Fraction(1)})

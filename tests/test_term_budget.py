@@ -1,16 +1,20 @@
-"""The parser's term budget: one product or power may multiply out at most
-MAX_TERM_PRODUCTS term products, checked before it is multiplied out."""
+"""Size budgets: one parsed product or power, and one expansion of an
+equation's layout, may multiply out at most MAX_TERM_PRODUCTS term products,
+checked before each multiplication; a parsed formula or term nests at most
+MAX_NESTING_DEPTH parentheses, negations and signs."""
 
+import io
 import json
+import sys
 import time
 from math import comb
 
 import pytest
 
-from boolelim.cli import EXIT_SIZE, main
+from boolelim.cli import EXIT_PARSE, EXIT_SIZE, main
 from boolelim.errors import SizeLimitError
 from boolelim.formula import _power_products, parse
-from boolelim.poly import MAX_TERM_PRODUCTS, Field
+from boolelim.poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field
 
 
 def test_power_products_follow_the_closed_form():
@@ -52,3 +56,41 @@ def test_huge_power_in_an_equation_file_exits_4_at_once(tmp_path):
     t0 = time.perf_counter()
     assert main(["decide", "--input", str(path), "--point", "y=1"]) == EXIT_SIZE
     assert time.perf_counter() - t0 < 1.0
+
+
+def _cli(monkeypatch, argv, stdin=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    return main(argv, out=io.StringIO())
+
+
+def test_expansion_past_the_budget_exits_4_at_once(monkeypatch):
+    """One clause of three order literals gives E3d_Q six gadget factors of 7
+    to 10 terms. Their product has 2404 terms, and squaring it would multiply
+    out 2404^2, about 5.8 million, term products."""
+    argv = ["eliminate", "--field", "q", "--form", "e3d", "--output", "json"]
+    t0 = time.perf_counter()
+    assert _cli(monkeypatch, argv, "(x - z > 3 \\/ y*z > 1 \\/ x + z > 2)") == EXIT_SIZE
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 196 + "x = 0" + ")" * 196,
+    "~" * 979 + "x = 0",
+    "-" * 979 + "x = 0",
+], ids=["parentheses", "negations", "signs"])
+def test_deep_nesting_exits_4(monkeypatch, text):
+    assert _cli(monkeypatch, ["eliminate", "--field", "q", "--form", "e"], text) == EXIT_SIZE
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = MAX_NESTING_DEPTH
+    parse("(" * depth + "x = 0" + ")" * depth, Field.Q)
+    parse("(" * (depth - 1) + "(x) = 0" + ")" * (depth - 1), Field.Q)
+    with pytest.raises(SizeLimitError, match="nesting"):
+        parse("(" * depth + "(x) = 0" + ")" * depth, Field.Q)
+
+
+def test_deeply_nested_equation_file_is_bad_json(tmp_path):
+    path = tmp_path / "eq.json"
+    path.write_text("[" * 100_000)
+    assert main(["decide", "--input", str(path), "--point", "y=1"]) == EXIT_PARSE
