@@ -1,11 +1,15 @@
 """Exact decision oracles for quantified single-equation statements.
 
-Over C the scalar prefixes are decided completely: "exists a forall b" holds
-iff the b-coefficients share a root (all zero, or a nonconstant gcd), and
-"forall a exists b" fails only where every positive-degree b-coefficient
-vanishes while the constant one does not, which reduces to a gcd and
-squarefree computation. Over R the single-exists form is decided by Sturm
-counting; over Q only its construction is, whose real roots are rational.
+The exists-forall form over C and the single-exists form over R are
+products, which decide factor by factor on the product layout, guard then
+clause factors (an opaque equation's one factor is its whole polynomial),
+and never expand: "exists a forall b" holds iff some factor's b-coefficients
+share a root (all zero, or a nonconstant gcd), since C[b] has no zero
+divisors, and "exists r" iff some factor has a real root by Sturm counting.
+Over Q only the construction of the latter is decided, whose real roots are
+rational. "forall a exists b" over C fails only where every positive-degree
+b-coefficient of the expansion vanishes while the constant one does not,
+which reduces to a gcd and squarefree computation.
 The per-conjunct and forall-exists real and rational shapes have no generic
 oracle here. Their deciders share one loop over the clause blocks of the
 equation's construction, which a built equation is, and so is one loaded
@@ -13,8 +17,8 @@ with its provenance, since from_json rebuilds it; any other equation is
 refused. Over R a block is clause i's factors (at the selector node i for
 a forall-first prefix, the only decisive universal values) sent to Sturm,
 over Q the three-squares criterion per gadget. A sampling refuter
-covers the rest, returning REFUTED with the bad universal value or
-UNRESOLVED after its budget.
+covers the rest with the same node reduction on a construction, returning
+REFUTED with the bad universal value or UNRESOLVED after its budget.
 """
 
 from __future__ import annotations
@@ -127,8 +131,8 @@ def _quad(a: Fraction, b: Fraction, q: Fraction):
     return Fraction(a) if b == 0 else QuadScalar(a, b, q)
 
 
-def _require_only(p: MultiPoly, allowed: set, what: str):
-    extra = p.variables() - allowed
+def _require_only(polys: list, allowed: set, what: str):
+    extra = set().union(*(p.variables() for p in polys)) - allowed
     if extra:
         raise UnexpectedVariablesError(f"{what}: unexpected variables {sorted(extra)}")
 
@@ -149,7 +153,7 @@ def exists_root_c(view: UniView) -> bool:
 def _root_exists(p: MultiPoly, name: str, field: Field, what: str) -> bool:
     """Whether p, a polynomial in name alone once a point is substituted, has
     a root: any complex root over C, a real root by Sturm counting else."""
-    _require_only(p, {name}, what)
+    _require_only([p], {name}, what)
     view = as_univariate(p, name)
     if field is Field.C:
         return exists_root_c(view)
@@ -176,19 +180,34 @@ def _prefix_names(qe: QuantifiedEquation, pattern: tuple) -> tuple:
     return tuple(n for _, n in qe.prefix)
 
 
+def _factors_at(qe: QuantifiedEquation, x: Mapping, names: set, what: str) -> list:
+    """The factors of a product layout at x: the guard, then the clause
+    factors of its one addend. An opaque equation's one factor is its whole
+    polynomial. A product of nonzero polynomials keeps every variable of its
+    factors, so all of them are checked against names before any is decided,
+    as the expansion would be; a zero factor zeroes the product."""
+    if len(qe.addends) != 1:
+        raise ShapeUnsupportedError(f"{what} needs a product of factors")
+    x = dict(x)
+    factors = [f.substitute(x) for f in (qe.guard, *qe.addends[0])]
+    if any(f.is_zero() for f in factors):
+        return [qe.ring.zero]
+    _require_only(factors, names, what)
+    return factors
+
+
 def decide_ea_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     """exists a forall b: p(a, b, x) = 0, decided exactly over C.
 
-    The statement holds iff every b-coefficient vanishes identically or the
+    C[b] has no zero divisors, so the product vanishes identically in b iff
+    some factor does: iff every b-coefficient of that factor vanishes or its
     nonzero b-coefficients have a common root, i.e. a nonconstant gcd."""
     a_name, b_name = _prefix_names(qe, ("exists", "forall"))
-    p = qe.substituted_equation(x)
-    _require_only(p, {a_name, b_name}, "decide_ea_c")
-    coeffs = as_univariate(p, b_name).coeffs
-    nonzero = [c for c in coeffs if not c.is_zero()]
-    if not nonzero:
-        return True
-    return _gcd_fold(nonzero, a_name).degree >= 1
+    for f in _factors_at(qe, x, {a_name, b_name}, "decide_ea_c"):
+        nonzero = [c for c in as_univariate(f, b_name).coeffs if not c.is_zero()]
+        if not nonzero or _gcd_fold(nonzero, a_name).degree >= 1:
+            return True
+    return False
 
 
 def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -200,7 +219,7 @@ def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     that d_0 misses."""
     a_name, b_name = _prefix_names(qe, ("forall", "exists"))
     p = qe.substituted_equation(x)
-    _require_only(p, {a_name, b_name}, "decide_ae_c")
+    _require_only([p], {a_name, b_name}, "decide_ae_c")
     coeffs = as_univariate(p, b_name).coeffs
     if not coeffs:
         return True
@@ -223,9 +242,13 @@ def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
 
 
 def has_real_root(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """Whether p(r, x) = 0 has a real root r, by Sturm root counting."""
+    """Whether p(r, x) = 0 has a real root r: whether some factor has one,
+    by Sturm root counting."""
     (r_name,) = _prefix_names(qe, ("exists",))
-    return _root_exists(qe.substituted_equation(x), r_name, Field.R, "has_real_root")
+    return any(
+        _root_exists(f, r_name, Field.R, "has_real_root")
+        for f in _factors_at(qe, x, {r_name}, "has_real_root")
+    )
 
 
 def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -371,15 +394,17 @@ class SamplePlan:
 
 
 def _inner_exists_true(qe: QuantifiedEquation, x: Mapping, alpha) -> bool:
+    """Whether the inner exists holds at the universal value alpha. On a
+    construction only the nodes 1..d are decisive: off them the guard
+    vanishes at 1/prod(alpha - i), and at node i clause i's block decides.
+    An opaque equation with one exists variable is decided on its expansion."""
     exists_names = [n for q, n in qe.prefix if q == "exists"]
-    if len(exists_names) > 1:
-        # only the structured Q shape carries several inner variables
-        built = _construction_of(qe, Shape.AE3_Q)
-        node = _is_node(alpha, built.provenance.d)
-        # off the nodes the guard vanishes at w1 = 1/prod(alpha - i)
-        return node is None or _block_vanishes(built, x, node - 1)
-    p = qe.substituted_equation({**x, qe.prefix[0][1]: alpha})
-    return _root_exists(p, exists_names[0], qe.field, "refute_ae")
+    if qe.provenance is None and len(exists_names) == 1:
+        p = qe.substituted_equation({**x, qe.prefix[0][1]: alpha})
+        return _root_exists(p, exists_names[0], qe.field, "refute_ae")
+    built = qe.construction()
+    node = _is_node(alpha, built.provenance.d)
+    return node is None or _block_vanishes(built, x, node - 1)
 
 
 def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:

@@ -14,8 +14,9 @@ Every relation is normalized to a constraint against zero: p REL q becomes
 t > 0 \\/ t = 0, t < 0 becomes -t > 0, t <= 0 becomes -t > 0 \\/ t = 0).
 Order relations are rejected over the complex field. Over C the identifier
 "i" denotes the imaginary unit. A product chain or power that would multiply
-out more than MAX_TERM_PRODUCTS term products is refused with SizeLimitError
-before it is multiplied out, and so is nesting deeper than MAX_NESTING_DEPTH
+out more than MAX_TERM_PRODUCTS term products, a power counted as the
+repeated squaring that computes it, is refused with SizeLimitError before it
+is multiplied out, and so is nesting deeper than MAX_NESTING_DEPTH
 parentheses, negations and signs.
 """
 
@@ -352,7 +353,7 @@ class _Parser:
         while self.peek().kind == "CARET":
             t = self.advance()
             e = int(self.expect("NUM", "a nonnegative integer exponent").text)
-            _check_term_products(_power_products(len(base.terms), e), t)
+            _check_term_products(_squaring_products(len(base.terms), e), t)
             base = base**e
         return base
 
@@ -378,22 +379,45 @@ class _Parser:
         raise FormulaSyntaxError(t.pos, "a variable, number, or '('", t.text or "end of input")
 
 
+def _terms_bound(n: int, k: int) -> int:
+    """C(k + n - 1, n - 1), the most terms the k-th power of an n-term
+    polynomial has, built up only until it passes MAX_TERM_PRODUCTS. Taken
+    over the smaller of k and n - 1, each step at least doubles it, so that
+    takes a bounded number of steps."""
+    m, j = k + n - 1, min(k, n - 1)
+    c = 1
+    for i in range(1, j + 1):
+        c = c * (m - j + i) // i
+        if c > MAX_TERM_PRODUCTS:
+            break
+    return c
+
+
 def _power_products(n: int, e: int) -> int:
     """The term products of multiplying out an n-term polynomial p to the
-    power e as the e - 1 products p * p^k, where p^k has at most
-    C(k + n - 1, n - 1) terms: n * (C(e + n - 1, n) - 1) in all. The binomial
-    is built up only until the count passes the budget; each step at least
-    doubles it, so that takes a bounded number of steps. A power of one term
-    is one term, which squaring reaches in log e products: it counts 0."""
-    if n < 2:
+    power e as the e - 1 products p * p^k: n * (C(e + n - 1, n) - 1), past
+    MAX_TERM_PRODUCTS once the binomial is. A power of one term counts 0."""
+    if n < 2 or e == 0:
         return 0
-    m, k = e + n - 1, min(n, e - 1)
-    c = 1
-    for j in range(1, k + 1):
-        c = c * (m - k + j) // j
-        if n * (c - 1) > MAX_TERM_PRODUCTS:
-            break
-    return n * (c - 1)
+    return n * (_terms_bound(n + 1, e - 1) - 1)
+
+
+def _squaring_products(n: int, e: int) -> int:
+    """The term products MultiPoly.__pow__ performs on an n-term polynomial:
+    per bit of e, out * base when the bit is set and base * base while higher
+    bits remain, with out = p^o and base = p^b of at most _terms_bound terms
+    each. Counting stops once it passes MAX_TERM_PRODUCTS."""
+    spent, o, b = 0, 0, 1
+    while e and spent <= MAX_TERM_PRODUCTS:
+        tb = _terms_bound(n, b)
+        if e & 1:
+            spent += _terms_bound(n, o) * tb
+            o += b
+        if e > 1:
+            spent += tb * tb
+            b *= 2
+        e >>= 1
+    return spent
 
 
 def _check_term_products(count: int, at: _Tok) -> None:

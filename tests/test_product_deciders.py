@@ -1,0 +1,223 @@
+"""The product forms `ea` (over C) and `e` (over R and Q) decide factor by
+factor on the layout, never on the expansion. Their verdicts must equal the
+rule on the expanded substituted equation, for built, JSON round-tripped and
+opaque (provenance removed) equations alike, at small and wide points; the
+refuter's node reduction must equal the expanded rule sample by sample; and
+none of them may multiply the equation out."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from boolelim.cli import EXIT_PARSE, main
+from boolelim.decide import (
+    SamplePlan,
+    VerdictKind,
+    decide_e_r,
+    decide_ea_c,
+    has_real_root,
+    refute_ae,
+)
+from boolelim.elim import QuantifiedEquation, Shape, build_for_shape, from_json, to_json
+from boolelim.errors import ShapeUnsupportedError
+from boolelim.exactnum import gaussian
+from boolelim.formula import parse, to_cnf, to_dnf
+from boolelim.poly import Field, as_univariate, count_real_roots, gcd_univariate
+
+MONOMIALS = ("1", "y", "z", "y*z", "y^2", "z^2")
+BITS = (4, 32, 64, 128)
+
+
+def _term(rng) -> str:
+    picks = rng.sample(MONOMIALS, rng.randint(1, 3))
+    return " + ".join(f"({rng.choice([-3, -2, -1, 1, 2, 3])})*{m}" for m in picks)
+
+
+def _wide(rng, bits) -> Fraction:
+    return Fraction(rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) | 1)
+
+
+def _point(rng, fld, bits) -> dict:
+    if fld is Field.C:
+        return {n: gaussian(_wide(rng, bits), _wide(rng, bits)) for n in ("y", "z")}
+    return {n: _wide(rng, bits) for n in ("y", "z")}
+
+
+def _vanishing_at(point, fld) -> str:
+    """A term in y that is zero at the point."""
+    y = point["y"]
+    if fld is Field.C:
+        return f"y - ({y.re.numerator}/{y.re.denominator}) - ({y.im.numerator}/{y.im.denominator})*i"
+    return f"y - ({y.numerator}/{y.denominator})"
+
+
+def _dnf_text(rng, d, point, fld, plant) -> str:
+    """d random clauses of one or two literals; a planted clause holds an
+    equation that is zero at the point, so that factor has a root there."""
+    clauses = []
+    for i in range(d):
+        lits = [f"{_term(rng)} {rng.choice(['=', '!='])} 0" for _ in range(rng.randint(1, 2))]
+        if plant and i == d - 1:
+            lits = [f"{_vanishing_at(point, fld)} = 0"]
+        clauses.append("(" + " /\\ ".join(lits) + ")")
+    return " \\/ ".join(clauses)
+
+
+def _three_kinds(qe) -> list:
+    """The built equation, its JSON round trip, and the round trip with its
+    provenance removed, which loads opaque."""
+    text = to_json(qe)
+    obj = json.loads(text)
+    del obj["provenance"]
+    return [qe, from_json(text), from_json(json.dumps(obj))]
+
+
+def _expanded_ea_c(qe, x) -> bool:
+    """The rule on the expansion: the nonzero b-coefficients share a root."""
+    p = qe.substituted_equation(x)
+    nonzero = [as_univariate(c, "a") for c in as_univariate(p, "b").coeffs if not c.is_zero()]
+    if not nonzero:
+        return True
+    g = nonzero[0]
+    for v in nonzero[1:]:
+        g = gcd_univariate(g, v)
+    return g.degree >= 1
+
+
+def _expanded_e_r(qe, x) -> bool:
+    return count_real_roots(as_univariate(qe.substituted_equation(x), "r")) != 0
+
+
+CASES = [
+    (Shape.EA_C, Field.C, decide_ea_c, _expanded_ea_c),
+    (Shape.E_R, Field.R, decide_e_r, _expanded_e_r),
+    (Shape.E_R, Field.Q, decide_e_r, _expanded_e_r),
+]
+
+
+def _check_all_kinds(shape, decider, oracle, qe, x) -> bool:
+    want = oracle(qe, x)
+    built, loaded, opaque = _three_kinds(qe)
+    assert opaque.provenance is None
+    assert decider(built, x) == want
+    assert decider(loaded, x) == want
+    if shape is Shape.E_R:
+        assert has_real_root(opaque, x) == want
+    if qe.field is Field.Q:
+        # an opaque Q equation's real roots need not be rational
+        with pytest.raises(ShapeUnsupportedError):
+            decider(opaque, x)
+    else:
+        assert decider(opaque, x) == want
+    return want
+
+
+@pytest.mark.parametrize("shape,fld,decider,oracle", CASES, ids=["ea_C", "e_R", "e_Q"])
+def test_factorwise_verdicts_equal_the_expanded_rule(shape, fld, decider, oracle):
+    rng = random.Random(f"product:{shape.value}:{fld.value}")
+    seen = set()
+    for d in (1, 2, 3, 4):
+        for k, bits in enumerate(BITS):
+            x = _point(rng, fld, bits)
+            text = _dnf_text(rng, d, x, fld, plant=(d + k) % 2 == 0)
+            qe = build_for_shape(shape, to_dnf(parse(text, fld)))
+            seen.add(_check_all_kinds(shape, decider, oracle, qe, x))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("shape,fld,decider,oracle", CASES, ids=["ea_C", "e_R", "e_Q"])
+def test_empty_matrices_decide_like_their_expansion(shape, fld, decider, oracle):
+    x = _point(random.Random(5), fld, 32)
+    for text, want in (("true", True), ("false", False)):
+        qe = build_for_shape(shape, to_dnf(parse(text, fld)))
+        assert _check_all_kinds(shape, decider, oracle, qe, x) is want
+
+
+def _no_folds(monkeypatch) -> list:
+    calls = []
+    fold = QuantifiedEquation.fold
+
+    def counting(self, fmap):
+        calls.append(self.shape)
+        return fold(self, fmap)
+
+    monkeypatch.setattr(QuantifiedEquation, "fold", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape,fld,decider,oracle", CASES, ids=["ea_C", "e_R", "e_Q"])
+def test_product_deciders_never_fold(monkeypatch, shape, fld, decider, oracle):
+    rng = random.Random(11)
+    x = _point(rng, fld, 64)
+    qe = build_for_shape(shape, to_dnf(parse(_dnf_text(rng, 3, x, fld, plant=True), fld)))
+    kinds = _three_kinds(qe)  # loading renders the expansion once, before counting
+    calls = _no_folds(monkeypatch)
+    for eq in kinds:
+        if shape is Shape.E_R:
+            assert has_real_root(eq, x)
+        if eq.provenance is not None or eq.field is not Field.Q:
+            assert decider(eq, x)
+    assert calls == []
+
+
+def _expanded_refute(qe, x, plan) -> tuple:
+    """refute_ae's samples decided on the expansion: (kind, sample, tried)."""
+    exists = [n for q, n in qe.prefix if q == "exists"][0]
+    d = qe.provenance.d
+    samples = [Fraction(i) for i in range(1, d + 1)][: plan.count]
+    rng = random.Random(plan.seed)
+    while len(samples) < plan.count:
+        samples.append(Fraction(rng.randint(-plan.bound, plan.bound), rng.randint(1, plan.bound)))
+    for k, alpha in enumerate(samples, start=1):
+        p = as_univariate(qe.substituted_equation({**x, qe.prefix[0][1]: alpha}), exists)
+        has_root = p.degree >= 1 or p.is_zero() if qe.field is Field.C else count_real_roots(p) != 0
+        if not has_root:
+            return VerdictKind.REFUTED, alpha, k
+    return VerdictKind.UNRESOLVED, None, len(samples)
+
+
+@pytest.mark.parametrize("shape,fld", [(Shape.AE_C, Field.C), (Shape.AE_R, Field.R)])
+def test_refuter_reads_the_nodes_and_never_folds(monkeypatch, shape, fld):
+    rng = random.Random(f"refute:{shape.value}")
+    rel = "!=" if fld is Field.C else ">"
+    seen = set()
+    for d in (1, 2, 3):
+        for k in range(4):
+            x = _point(rng, fld, 4)
+            clauses = [
+                " \\/ ".join(f"{_term(rng)} {rng.choice(['=', rel])} 0" for _ in range(2))
+                for _ in range(d)
+            ]
+            phi = parse(" /\\ ".join(f"({c})" for c in clauses), fld)
+            qe = build_for_shape(shape, to_cnf(phi))
+            plan = SamplePlan(seed=k, count=2 + k * 4)
+            want = _expanded_refute(qe, x, plan)
+            calls = _no_folds(monkeypatch)
+            got = refute_ae(qe, x, plan)
+            monkeypatch.undo()
+            assert calls == []
+            assert (got.kind, got.sample, got.tried) == want, (shape, d, k)
+            seen.add(got.kind)
+    assert seen == {VerdictKind.REFUTED, VerdictKind.UNRESOLVED}
+
+
+@pytest.mark.parametrize("form,fld,text", [
+    ("ea", "c", "y = 0 \\/ z != 0"),
+    ("e", "r", "y = 0 \\/ z != 0"),
+])
+def test_true_first_factor_does_not_hide_a_missing_variable(tmp_path, form, fld, text):
+    """The first clause is true at y = 0, but the second clause's factor
+    holds z, which the point lacks: an input error, as on the expansion."""
+    src = tmp_path / "f.txt"
+    src.write_text(text)
+    eq = tmp_path / "eq.json"
+    out = tmp_path / "out.txt"
+    with open(out, "w") as fh:
+        argv = ["eliminate", "--field", fld, "--form", form, "--input", str(src), "--output", "json"]
+        assert main(argv, out=fh) == 0
+    eq.write_text(json.dumps(json.loads(out.read_text())["equation"]))
+    with open(out, "w") as fh:
+        assert main(["decide", "--input", str(eq), "--point", "y=0,z=1"], out=fh) == 0
+        assert main(["decide", "--input", str(eq), "--point", "y=0"], out=fh) == EXIT_PARSE

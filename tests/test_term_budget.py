@@ -94,3 +94,45 @@ def test_deeply_nested_equation_file_is_bad_json(tmp_path):
     path = tmp_path / "eq.json"
     path.write_text("[" * 100_000)
     assert main(["decide", "--input", str(path), "--point", "y=1"]) == EXIT_PARSE
+
+
+def test_power_budget_counts_the_products_squaring_performs(monkeypatch):
+    """(a + b + c + 1)^e has C(e + 3, 3) terms, the bound, so the count is
+    exact: it equals the term products MultiPoly.__mul__ sees."""
+    from boolelim.formula import _squaring_products
+    from boolelim.poly import MultiPoly, PolyRing
+
+    ring = PolyRing(Field.Q)
+    names = ("a", "b", "c")
+    spent = 0
+    mul = MultiPoly.__mul__
+
+    def counting(p, q):
+        nonlocal spent
+        spent += len(p.terms) * len(q.terms)
+        return mul(p, q)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    for n in range(1, 5):
+        base = sum((ring.var(v) for v in names[: n - 1]), ring.one)
+        for e in range(0, 24):
+            want = _squaring_products(n, e)
+            if want > 20_000:
+                continue
+            spent = 0
+            base**e
+            assert spent == want, (n, e)
+    assert _squaring_products(4, 28) == 475_271 > MAX_TERM_PRODUCTS
+
+
+def test_power_squaring_past_the_budget_exits_4_at_once(tmp_path):
+    """Multiplied out as e - 1 products p * p^k, (a+b+c+1)^28 would take
+    125,856 term products, under the budget; squaring takes 475,271."""
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps({
+        "field": "C", "prefix": [["exists", "a"], ["forall", "b"]], "vars": ["y"],
+        "equation": "(a+b+c+1)^28*b - y", "shape": "EA_C", "counts": {},
+    }))
+    t0 = time.perf_counter()
+    assert main(["decide", "--input", str(path), "--point", "y=1"]) == EXIT_SIZE
+    assert time.perf_counter() - t0 < 1.0
