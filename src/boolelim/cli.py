@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .decide import (
@@ -59,7 +60,7 @@ from .formula import (
     to_cnf,
     to_dnf,
 )
-from .poly import Field, render_poly
+from .poly import Field, PolyRing, render_poly
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -168,10 +169,12 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return lo, hi, step
 
 
-def _matrix(phi, shape: Shape, limit: int = DEFAULT_CLAUSE_LIMIT):
-    if SHAPE_SPECS[shape].kind is NormalForm.DNF:
-        return to_dnf(phi, limit)
-    return to_cnf(phi, limit)
+def _matrix(phi, shape: Shape, fld: Field, limit: int = DEFAULT_CLAUSE_LIMIT):
+    """phi's clause matrix for the shape, tagged with fld even when phi is
+    constant and so names no ring of its own."""
+    dnf = SHAPE_SPECS[shape].kind is NormalForm.DNF
+    m = to_dnf(phi, limit) if dnf else to_cnf(phi, limit)
+    return m if m.ring is not None else replace(m, ring=PolyRing(fld))
 
 
 def _build_from_text(text: str, form: str, fld: Field, limit: int) -> tuple:
@@ -181,7 +184,7 @@ def _build_from_text(text: str, form: str, fld: Field, limit: int) -> tuple:
     phi = parse(text, fld)
     if Rel.GT0 in SHAPE_SPECS[shape].literals:
         phi = rewrite_neq_to_orders(phi)
-    return phi, build_for_shape(shape, _matrix(phi, shape, limit))
+    return phi, build_for_shape(shape, _matrix(phi, shape, fld, limit))
 
 
 def _load_equation(arg: str) -> QuantifiedEquation:
@@ -320,7 +323,7 @@ def _selftest_cases(corrupt: bool):
         kind = SHAPE_SPECS[shape].kind
         for seed in range(3):
             phi = random_formula(seed, RandomFormulaParams(field=fld, kind=kind))
-            qe = build_for_shape(shape, _matrix(phi, shape))
+            qe = build_for_shape(shape, _matrix(phi, shape, fld))
             rep = equivalence_run(
                 phi, qe, decider_for_shape(shape), SamplePlan(seed=seed + 100, count=8)
             )

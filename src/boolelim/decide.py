@@ -1,24 +1,24 @@
 """Exact decision oracles for quantified single-equation statements.
 
-The exists-forall form over C and the single-exists form over R are
-products, which decide factor by factor on the product layout, guard then
-clause factors (an opaque equation's one factor is its whole polynomial),
-and never expand: "exists a forall b" holds iff some factor's b-coefficients
-share a root (all zero, or a nonconstant gcd), since C[b] has no zero
-divisors, and "exists r" iff some factor has a real root by Sturm counting.
-Over Q only the construction of the latter is decided, whose real roots are
-rational. "forall a exists b" over C fails only where every positive-degree
-b-coefficient of the expansion vanishes while the constant one does not,
-which reduces to a gcd and squarefree computation.
-The per-conjunct and forall-exists real and rational shapes have no generic
-oracle here. Their deciders share one loop over the clause blocks of the
-equation's construction, which a built equation is, and so is one loaded
-with its provenance, since from_json rebuilds it; any other equation is
-refused. Over R a block is clause i's factors (at the selector node i for
-a forall-first prefix, the only decisive universal values) sent to Sturm,
-over Q the three-squares criterion per gadget. A sampling refuter
-covers the rest with the same node reduction on a construction, returning
-REFUTED with the bad universal value or UNRESOLVED after its budget.
+Every decider but one reads the layout, never the expansion: the statement
+holds at a point x exactly when every decisive block of the layout has a
+vanishing factor, and one block walk decides them all. A product (the
+exists-forall form over C, the single-exists form over R and Q, and any
+opaque equation, whose one factor is its polynomial) is one block; a sum of
+squares has one per bracket, in its own exists variables; a forall-first
+construction has clause i's at the selector node i, the only decisive
+universal values. With a forall variable left a factor vanishes when its
+coefficients in it share a root (a nonconstant gcd), since C[b] has no zero
+divisors; otherwise at a complex root over C, or a Sturm-counted real root
+over R and Q. The Q gadget blocks take the three-squares criterion on the
+clause's literals. The single-exists form over Q, whose construction has
+only rational real roots, and the per-conjunct and forall-exists shapes are
+decided on constructions only: built, or loaded with a provenance that
+from_json rebuilds. "forall a exists b" over C reads the expansion, as its
+opaque equations need: it fails only where every positive-degree
+b-coefficient vanishes and the constant one does not, a gcd and squarefree
+computation. A sampling refuter runs the block walk at each sampled
+universal value, returning REFUTED with the bad value or UNRESOLVED.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     UnexpectedVariablesError,
 )
 from .exactnum import GaussianRational, is_sum_three_squares
-from .formula import Rel, eval_formula, formula_ring
+from .formula import NormalForm, eval_formula, formula_ring
 from .poly import (
     Field,
     MultiPoly,
@@ -143,21 +143,7 @@ def _require_only(polys: list, allowed: set, what: str):
 def exists_root_c(view: UniView) -> bool:
     """Whether a univariate with scalar coefficients has a complex root;
     false exactly for nonzero constants."""
-    if view.is_zero():
-        return True
-    if view.degree >= 1:
-        return True
-    return not view.scalars()[0]
-
-
-def _root_exists(p: MultiPoly, name: str, field: Field, what: str) -> bool:
-    """Whether p, a polynomial in name alone once a point is substituted, has
-    a root: any complex root over C, a real root by Sturm counting else."""
-    _require_only([p], {name}, what)
-    view = as_univariate(p, name)
-    if field is Field.C:
-        return exists_root_c(view)
-    return count_real_roots(view) != 0
+    return view.is_zero() or view.degree >= 1 or not view.scalars()[0]
 
 
 def _gcd_fold(polys: list, name: str) -> UniView:
@@ -180,20 +166,108 @@ def _prefix_names(qe: QuantifiedEquation, pattern: tuple) -> tuple:
     return tuple(n for _, n in qe.prefix)
 
 
-def _factors_at(qe: QuantifiedEquation, x: Mapping, names: set, what: str) -> list:
-    """The factors of a product layout at x: the guard, then the clause
-    factors of its one addend. An opaque equation's one factor is its whole
-    polynomial. A product of nonzero polynomials keeps every variable of its
-    factors, so all of them are checked against names before any is decided,
-    as the expansion would be; a zero factor zeroes the product."""
-    if len(qe.addends) != 1:
-        raise ShapeUnsupportedError(f"{what} needs a product of factors")
+# -- the block walk ------------------------------------------------------------------
+
+
+def _blocks(qe: QuantifiedEquation, x: Mapping, forall_value=None) -> list:
+    """The decisive blocks of the layout at x, as (clause, point, factors,
+    exists variable). A product, exists-first with power 1 (an opaque
+    equation's one factor is its whole polynomial), is one block: the guard
+    and the one addend. A sum of squares has one block per addend, in the
+    first of its own variables. A forall-first construction has addend i at
+    the node i + 1, where the guard is 1 and every other selector vanishes;
+    given a forall value, only the node it is on, if any, since off the nodes
+    the guard vanishes at 1/prod(value - i). At a forall value an opaque
+    equation with one exists variable is one product block."""
     x = dict(x)
-    factors = [f.substitute(x) for f in (qe.guard, *qe.addends[0])]
-    if any(f.is_zero() for f in factors):
-        return [qe.ring.zero]
-    _require_only(factors, names, what)
-    return factors
+    exists = [n for q, n in qe.prefix if q == "exists"]
+    if not qe.prefix or qe.prefix[0][0] == "exists":
+        if qe.power == 2:
+            k = len(exists) // max(len(qe.addends), 1)
+            return [(i, x, a, exists[k * i]) for i, a in enumerate(qe.addends)]
+        if len(qe.addends) != 1:
+            raise ShapeUnsupportedError(f"decide {qe.shape.value} needs a product of factors")
+        return [(0, x, (qe.guard, *qe.addends[0]), exists[0])]
+    univ = qe.prefix[0][1]
+    if forall_value is not None and qe.provenance is None and len(exists) == 1:
+        return [(0, {**x, univ: forall_value}, (qe.guard, *qe.addends[0]), exists[0])]
+    d = qe.construction().provenance.d
+    if forall_value is None:
+        nodes = range(1, d + 1)
+    else:
+        node = _is_node(forall_value, d)
+        nodes = [node] if node else []
+    return [(n - 1, {**x, univ: Fraction(n)}, qe.addends[n - 1], exists[0]) for n in nodes]
+
+
+def _factor_vanishes(f: MultiPoly, name: str, forall: str | None, fld: Field) -> bool:
+    """Whether some value of name zeroes the factor: identically in the
+    forall variable left, if any, when its coefficients in it are all zero
+    or share a root, a nonconstant gcd; else at any complex root over C and
+    at a real root, by Sturm counting, over R and Q."""
+    if forall is not None:
+        nonzero = [c for c in as_univariate(f, forall).coeffs if not c.is_zero()]
+        return not nonzero or _gcd_fold(nonzero, name).degree >= 1
+    view = as_univariate(f, name)
+    return exists_root_c(view) if fld is Field.C else count_real_roots(view) != 0
+
+
+def _q_positive_representable(u: Fraction) -> bool:
+    """Whether some gadget factor (1 - s*u*V) of the Q gadget's scales s can
+    vanish with V a sum of three rational squares: u must be positive and
+    some 1/(s*u) a three-square rational, checked on numerator times
+    denominator, scale by scale."""
+    if u <= 0:
+        return False
+    for s in GADGETS[Field.Q].scales:
+        inv = 1 / (s * Fraction(u))
+        if is_sum_three_squares(inv.numerator * inv.denominator):
+            return True
+    return False
+
+
+def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, forall_value=None) -> bool:
+    """Whether every decisive block of the layout at x has a vanishing
+    factor, which is when the statement holds there. The variables of every
+    block are checked against the point before any factor answers, so a
+    point that lacks one is refused as the expansion would refuse it; a
+    block with a zero factor vanishes whatever its other factors hold.
+    Factors are substituted only as they are decided. The Q gadget blocks,
+    whose gadgets vanish on sums of three squares, take the three-squares
+    test on clause i's literals instead: an equation term is zero or an
+    order term passes it."""
+    blocks = _blocks(qe, x, forall_value)
+    what = f"decide {qe.shape.value}"
+    m = qe.provenance
+    if qe.field is Field.Q and m is not None and m.kind is NormalForm.CNF:
+        clauses = [i for i, _, _, _ in blocks]
+        _require_only([a.term for i in clauses for a in m.clauses[i]], set(x), what)
+        return all(
+            any(not a.term.evaluate(x) for a in m.eqs(i))
+            or any(_q_positive_representable(a.term.evaluate(x)) for a in m.ineqs(i))
+            for i in clauses
+        )
+    # the forall variable after an exists one stays in its blocks (ea)
+    forall = next((n for q, n in qe.prefix[1:] if q == "forall"), None)
+    read = []
+    for _, point, factors, name in blocks:
+        allowed = {name, forall}
+        if set().union(*(f.variables() for f in factors)) - allowed - point.keys():
+            # a variable the point lacks stays unless the substitution
+            # cancels it or zeroes a factor, and with it the block
+            fs = [f.substitute(point) for f in factors]
+            if any(f.is_zero() for f in fs):
+                factors = (qe.ring.zero,)
+            else:
+                _require_only(fs, allowed, what)
+        read.append((point, factors, name))
+    return all(
+        any(_factor_vanishes(f.substitute(point), name, forall, qe.field) for f in factors)
+        for point, factors, name in read
+    )
+
+
+# -- the deciders ---------------------------------------------------------------------
 
 
 def decide_ea_c(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -202,12 +276,8 @@ def decide_ea_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     C[b] has no zero divisors, so the product vanishes identically in b iff
     some factor does: iff every b-coefficient of that factor vanishes or its
     nonzero b-coefficients have a common root, i.e. a nonconstant gcd."""
-    a_name, b_name = _prefix_names(qe, ("exists", "forall"))
-    for f in _factors_at(qe, x, {a_name, b_name}, "decide_ea_c"):
-        nonzero = [c for c in as_univariate(f, b_name).coeffs if not c.is_zero()]
-        if not nonzero or _gcd_fold(nonzero, a_name).degree >= 1:
-            return True
-    return False
+    _prefix_names(qe, ("exists", "forall"))
+    return _every_block_vanishes(qe, x)
 
 
 def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -238,17 +308,11 @@ def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     return common.degree == sf.degree
 
 
-# -- Sturm-based oracle over R ---------------------------------------------------
-
-
 def has_real_root(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Whether p(r, x) = 0 has a real root r: whether some factor has one,
     by Sturm root counting."""
-    (r_name,) = _prefix_names(qe, ("exists",))
-    return any(
-        _root_exists(f, r_name, Field.R, "has_real_root")
-        for f in _factors_at(qe, x, {r_name}, "has_real_root")
-    )
+    _prefix_names(qe, ("exists",))
+    return _every_block_vanishes(qe, x)
 
 
 def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -262,9 +326,6 @@ def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
     return has_real_root(qe, x)
 
 
-# -- structured deciders -----------------------------------------------------------
-
-
 def _construction_of(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
     """The construction of an equation of the given shape."""
     if qe.shape is not shape:
@@ -272,55 +333,10 @@ def _construction_of(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation
     return qe.construction()
 
 
-def _q_positive_representable(u: Fraction) -> bool:
-    """Whether some gadget factor (1 - s*u*V) of the Q gadget's scales s can
-    vanish with V a sum of three rational squares: u must be positive and
-    some 1/(s*u) a three-square rational, checked on numerator times
-    denominator, scale by scale."""
-    if u <= 0:
-        return False
-    for s in GADGETS[Field.Q].scales:
-        inv = 1 / (s * Fraction(u))
-        if is_sum_three_squares(inv.numerator * inv.denominator):
-            return True
-    return False
-
-
-def _block_vanishes(qe: QuantifiedEquation, x: Mapping, i: int) -> bool:
-    """Whether some exists values zero clause i's block of a constructed
-    equation at x. Over Q: an equation term vanishes or an order literal
-    passes the three-squares test. Over R: the factors of addend i, at x and
-    under a forall-first prefix at the node i + 1 (where the guard is 1 and
-    every other selector vanishes), have a real root in the clause's one
-    exists variable."""
-    if qe.field is Field.Q:
-        m = qe.provenance
-        return any(not atom.term.evaluate(x) for atom in m.eqs(i)) or any(
-            atom.rel is Rel.GT0 and _q_positive_representable(atom.term.evaluate(x))
-            for atom in m.ineqs(i)
-        )
-    exists = [n for q, n in qe.prefix if q == "exists"]
-    point = dict(x)
-    if qe.prefix[0][0] == "forall":
-        point[qe.prefix[0][1]] = Fraction(i + 1)
-        name = exists[0]
-    else:
-        name = exists[i]
-    block = qe.ring.one
-    for f in qe.addends[i]:
-        block = block * f.substitute(point)
-    return _root_exists(block, name, qe.field, f"decide {qe.shape.value}")
-
-
-def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, shape: Shape) -> bool:
-    built = _construction_of(qe, shape)
-    return all(_block_vanishes(built, x, i) for i in range(built.provenance.d))
-
-
 def decide_ed_r(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Sum of squared brackets with disjoint r_i: zero iff every bracket,
-    univariate in its own r_i, has a real root or is identically zero."""
-    return _every_block_vanishes(qe, x, Shape.Ed_R)
+    a product in its own r_i, has a factor with a real root or a zero one."""
+    return _every_block_vanishes(_construction_of(qe, Shape.Ed_R), x)
 
 
 def decide_ae_r_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
@@ -328,19 +344,19 @@ def decide_ae_r_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
 
     Only the selector nodes 1..d are decisive: anywhere else the guard
     vanishes at s = 1/prod(r - i). At node i clause i's factors go to Sturm."""
-    return _every_block_vanishes(qe, x, Shape.AE_R)
+    return _every_block_vanishes(_construction_of(qe, Shape.AE_R), x)
 
 
 def decide_e3d_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Each bracket must vanish: some equation hits zero, or some gadget's
     reciprocal test passes the three-squares criterion."""
-    return _every_block_vanishes(qe, x, Shape.E3d_Q)
+    return _every_block_vanishes(_construction_of(qe, Shape.E3d_Q), x)
 
 
 def decide_ae3_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Node reduction as in the real forall-exists case, with the inner
     exists decided by the three-squares criterion."""
-    return _every_block_vanishes(qe, x, Shape.AE3_Q)
+    return _every_block_vanishes(_construction_of(qe, Shape.AE3_Q), x)
 
 
 DECIDER_FOR_SHAPE: dict[Shape, Callable] = {
@@ -393,23 +409,10 @@ class SamplePlan:
             raise ValueError("sample plan needs count >= 1")
 
 
-def _inner_exists_true(qe: QuantifiedEquation, x: Mapping, alpha) -> bool:
-    """Whether the inner exists holds at the universal value alpha. On a
-    construction only the nodes 1..d are decisive: off them the guard
-    vanishes at 1/prod(alpha - i), and at node i clause i's block decides.
-    An opaque equation with one exists variable is decided on its expansion."""
-    exists_names = [n for q, n in qe.prefix if q == "exists"]
-    if qe.provenance is None and len(exists_names) == 1:
-        p = qe.substituted_equation({**x, qe.prefix[0][1]: alpha})
-        return _root_exists(p, exists_names[0], qe.field, "refute_ae")
-    built = qe.construction()
-    node = _is_node(alpha, built.provenance.d)
-    return node is None or _block_vanishes(built, x, node - 1)
-
-
 def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:
     """Sample the universal variable, integers 1..d first, deciding the inner
-    exists exactly; REFUTED carries the first failing sample."""
+    exists exactly by the block walk at each sample; REFUTED carries the
+    first failing sample."""
     if not qe.prefix or qe.prefix[0][0] != "forall":
         raise ShapeUnsupportedError("refuter needs a forall-first prefix")
     d = qe.provenance.d if qe.provenance is not None else 0
@@ -420,7 +423,7 @@ def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:
     tried = 0
     for alpha in samples:
         tried += 1
-        if not _inner_exists_true(qe, x, alpha):
+        if not _every_block_vanishes(qe, x, alpha):
             return Verdict(VerdictKind.REFUTED, sample=alpha, tried=tried)
     return Verdict(VerdictKind.UNRESOLVED, tried=tried)
 

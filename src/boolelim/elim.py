@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -57,7 +57,6 @@ from .errors import (
     NoWitnessError,
     OrderLiteralError,
     ShapeUnsupportedError,
-    SizeLimitError,
     WrongKindError,
 )
 from .exactnum import GaussianRational, positivity_witness_q
@@ -76,10 +75,10 @@ from .formula import (
     to_dnf,
 )
 from .poly import (
-    MAX_TERM_PRODUCTS,
     Field,
     MultiPoly,
     PolyRing,
+    TermBudget,
     as_univariate,
     render_poly,
     render_poly_latex,
@@ -98,10 +97,6 @@ class Shape(enum.Enum):
 
 def _is_unit(p: MultiPoly) -> bool:
     return len(p.terms) == 1 and p.terms.get(()) == 1
-
-
-def _term_count(v) -> int:
-    return len(v.terms) if isinstance(v, MultiPoly) else 1
 
 
 @dataclass
@@ -141,20 +136,9 @@ class QuantifiedEquation:
     def fold(self, fmap: Callable):
         """fmap(guard) * sum_i (prod_j fmap(f_ij))^power: the equation under
         a per-factor map, multiplied out after mapping the small factors.
-        Each multiplication counts its term products first (a scalar is one
-        term); past MAX_TERM_PRODUCTS in one fold it raises SizeLimitError."""
-        spent = 0
-
-        def times(p, q):
-            nonlocal spent
-            spent += _term_count(p) * _term_count(q)
-            if spent > MAX_TERM_PRODUCTS:
-                raise SizeLimitError(
-                    f"expanding the {self.shape.value} equation multiplies out more "
-                    f"than {MAX_TERM_PRODUCTS} term products"
-                )
-            return p * q
-
+        Its multiplications share one TermBudget (a scalar is one term), so
+        past MAX_TERM_PRODUCTS in one fold it raises SizeLimitError."""
+        times = TermBudget(f"expanding the {self.shape.value} equation").times
         values = self.addend_values(fmap, times)
         if self.power == 2:
             values = [times(v, v) for v in values]
@@ -518,10 +502,6 @@ def _selector_coeff_rows(d: int) -> list[list[Fraction]]:
     return [as_univariate(_node_product(z, d, skip=i), "z").scalars() for i in range(1, d + 1)]
 
 
-def _addend_tails(qe: QuantifiedEquation) -> list[tuple[MultiPoly, ...]]:
-    return [addend[1:] for addend in qe.addends]
-
-
 def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
     """Exact degree in the forall variable of the selector sum, None if the
     sum is identically zero.
@@ -529,12 +509,13 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
     Each summand is sel_i(z) * A_i with A_i free of z, so the coefficient of
     z^m is a known rational combination of the A_i. Random evaluation
     certifies a nonzero coefficient cheaply; only when sampling keeps
-    returning zero is the combination expanded exactly.
+    returning zero is the combination expanded exactly, within one
+    TermBudget.
     """
     d = len(qe.addends)
     if d == 0:
         return None
-    tails = _addend_tails(qe)
+    tails = [addend[1:] for addend in qe.addends]  # the A_i, after the selectors
     if d == 1:
         # single summand: selector is 1, the tail is a product of nonzero polys
         return 0
@@ -543,6 +524,7 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
     names = [v.name for v in ring.table.all_vars() if v.name != zu]
     rng = random.Random(9173)
     expanded: list[MultiPoly] | None = None
+    times = TermBudget(f"the exact degree check of the {qe.shape.value} selector sum").times
     for m in range(d - 1, -1, -1):
         sigma = [rows[i][m] if m < len(rows[i]) else Fraction(0) for i in range(d)]
         for _ in range(8):
@@ -558,11 +540,11 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
             if val:
                 return m
         if expanded is None:
-            expanded = [reduce(mul, tail, ring.one) for tail in tails]
+            expanded = [reduce(times, tail, ring.one) for tail in tails]
         coeff = ring.zero
         for i in range(d):
             if sigma[i]:
-                coeff = coeff + expanded[i] * ring.const(sigma[i])
+                coeff = coeff + times(expanded[i], ring.const(sigma[i]))
         if not coeff.is_zero():
             return m
     return None
@@ -783,6 +765,8 @@ def from_json(text: str) -> QuantifiedEquation:
     if prov is not None:
         phi = parse(prov["formula"], fld, ring)
         m = to_dnf(phi) if NormalForm(prov["kind"]) is NormalForm.DNF else to_cnf(phi)
+        if m.ring is None:  # a constant formula: the file's field tags it
+            m = replace(m, ring=ring)
         qe = build_for_shape(shape, m)
         rendered = render_poly(qe.equation, qe.quantified_names())
         if (qe.field, qe.prefix, rendered) != (fld, prefix, obj["equation"]):

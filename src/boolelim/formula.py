@@ -37,7 +37,7 @@ from .errors import (
     SizeLimitError,
 )
 from .exactnum import IMAG_UNIT, GaussianRational
-from .poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing
+from .poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing, TermBudget
 
 DEFAULT_CLAUSE_LIMIT = 4096
 
@@ -334,13 +334,11 @@ class _Parser:
 
     def product(self) -> MultiPoly:
         node = self.unary()
-        spent = 0
+        budget = None
         while self.peek().kind == "STAR":
             t = self.advance()
-            rhs = self.unary()
-            spent += len(node.terms) * len(rhs.terms)
-            _check_term_products(spent, t)
-            node = node * rhs
+            budget = budget or TermBudget(f"the product at position {t.pos}")
+            node = budget.times(node, self.unary())
         return node
 
     def unary(self) -> MultiPoly:
@@ -353,7 +351,8 @@ class _Parser:
         while self.peek().kind == "CARET":
             t = self.advance()
             e = int(self.expect("NUM", "a nonnegative integer exponent").text)
-            _check_term_products(_squaring_products(len(base.terms), e), t)
+            budget = TermBudget(f"the power at position {t.pos}")
+            budget.spend(_squaring_products(len(base.terms), e))
             base = base**e
         return base
 
@@ -393,15 +392,6 @@ def _terms_bound(n: int, k: int) -> int:
     return c
 
 
-def _power_products(n: int, e: int) -> int:
-    """The term products of multiplying out an n-term polynomial p to the
-    power e as the e - 1 products p * p^k: n * (C(e + n - 1, n) - 1), past
-    MAX_TERM_PRODUCTS once the binomial is. A power of one term counts 0."""
-    if n < 2 or e == 0:
-        return 0
-    return n * (_terms_bound(n + 1, e - 1) - 1)
-
-
 def _squaring_products(n: int, e: int) -> int:
     """The term products MultiPoly.__pow__ performs on an n-term polynomial:
     per bit of e, out * base when the bit is set and base * base while higher
@@ -418,14 +408,6 @@ def _squaring_products(n: int, e: int) -> int:
             b *= 2
         e >>= 1
     return spent
-
-
-def _check_term_products(count: int, at: _Tok) -> None:
-    if count > MAX_TERM_PRODUCTS:
-        raise SizeLimitError(
-            f"the product or power at position {at.pos} multiplies out more than "
-            f"{MAX_TERM_PRODUCTS} term products"
-        )
 
 
 def parse(text: str, fld: Field, ring: PolyRing | None = None) -> Formula:

@@ -41,9 +41,9 @@ INFINITE = float("inf")
 # a univariate view holds one coefficient per power up to its degree; the
 # constructions stay far below this within the default clause budget
 MAX_UNIVARIATE_DEGREE = 1 << 16
-# the term products one parsed product or power, or one expansion of an
-# equation's layout, may multiply out; parsing a rendered construction
-# multiplies only single terms
+# the term products one parsed product or power, one expansion of an
+# equation's layout, or one exact degree check of a selector sum may multiply
+# out; parsing a rendered construction multiplies only single terms
 MAX_TERM_PRODUCTS = 1 << 18
 # the parentheses, negations and signs a parsed formula or term may nest; the
 # parser descends about six frames per level, so a parse at this depth stays
@@ -53,6 +53,32 @@ MAX_NESTING_DEPTH = 100
 
 Scalar = Union[Fraction, GaussianRational]
 Mono = tuple  # tuple[tuple[int, int], ...]
+
+
+class TermBudget:
+    """The term products one parsed product chain or power, one expansion or
+    one exact degree check has spent against MAX_TERM_PRODUCTS, a scalar
+    counting as one term. Spending past it raises SizeLimitError naming
+    `what`, before the multiplication that would pass it."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.spent = 0
+
+    def spend(self, count: int) -> None:
+        self.spent += count
+        if self.spent > MAX_TERM_PRODUCTS:
+            raise SizeLimitError(
+                f"{self.what} multiplies out more than {MAX_TERM_PRODUCTS} term products"
+            )
+
+    def times(self, p, q):
+        self.spend(_term_count(p) * _term_count(q))
+        return p * q
+
+
+def _term_count(v) -> int:
+    return len(v.terms) if isinstance(v, MultiPoly) else 1
 
 
 class Field(enum.Enum):

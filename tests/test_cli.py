@@ -349,6 +349,20 @@ def test_q_tagged_e_equation_from_eliminate_is_decided(tmp_path):
     assert run(["decide", "--input", eq, "--point", "y=1,z=1"]) == (EXIT_OK, "FALSE\n")
 
 
+@pytest.mark.parametrize("text,verdict", [("true", "TRUE"), ("false", "FALSE")])
+def test_constant_formula_keeps_the_requested_field(tmp_path, text, verdict):
+    """A constant names no ring, so only the requested field can tag its
+    matrix; the Q file then re-derives from its provenance when decided."""
+    f = write(tmp_path, "f.txt", text)
+    code, payload = run(
+        ["eliminate", "--field", "q", "--form", "e", "--input", f, "--output", "json"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(payload)["equation"]["field"] == "Q"
+    eq = write(tmp_path, "eq.json", payload)
+    assert run(["decide", "--input", eq]) == (EXIT_OK, verdict + "\n")
+
+
 def test_plot_counts_real_roots_of_a_q_tagged_equation(tmp_path):
     eq = write(tmp_path, "eq.json", json.dumps({
         "field": "Q", "prefix": [["exists", "r"]], "vars": ["y", "z"],

@@ -1,9 +1,11 @@
-"""The product forms `ea` (over C) and `e` (over R and Q) decide factor by
-factor on the layout, never on the expansion. Their verdicts must equal the
-rule on the expanded substituted equation, for built, JSON round-tripped and
-opaque (provenance removed) equations alike, at small and wide points; the
-refuter's node reduction must equal the expanded rule sample by sample; and
-none of them may multiply the equation out."""
+"""The deciders read the blocks of the layout, factor by factor, never the
+expansion. The product forms `ea` (over C) and `e` (over R and Q) must equal
+the rule on the expanded substituted equation, for built, JSON round-tripped
+and opaque (provenance removed) equations alike, at small and wide points;
+the sum-of-squares and forall-first blocks over R must equal the expanded
+rule bracket by bracket and node by node; the refuter's node reduction must
+equal the expanded rule sample by sample; and none of them may multiply the
+equation out."""
 
 import json
 import random
@@ -15,13 +17,16 @@ from boolelim.cli import EXIT_PARSE, main
 from boolelim.decide import (
     SamplePlan,
     VerdictKind,
+    decide_ae_r_structured,
     decide_e_r,
     decide_ea_c,
+    decide_ed_r,
+    decider_for_shape,
     has_real_root,
     refute_ae,
 )
 from boolelim.elim import QuantifiedEquation, Shape, build_for_shape, from_json, to_json
-from boolelim.errors import ShapeUnsupportedError
+from boolelim.errors import ShapeUnsupportedError, UnexpectedVariablesError
 from boolelim.exactnum import gaussian
 from boolelim.formula import parse, to_cnf, to_dnf
 from boolelim.poly import Field, as_univariate, count_real_roots, gcd_univariate
@@ -159,6 +164,85 @@ def test_product_deciders_never_fold(monkeypatch, shape, fld, decider, oracle):
             assert has_real_root(eq, x)
         if eq.provenance is not None or eq.field is not Field.Q:
             assert decider(eq, x)
+    assert calls == []
+
+
+def _cnf_text(rng, d) -> str:
+    """d random clauses of one or two equation or order literals."""
+    clauses = [
+        " \\/ ".join(f"{_term(rng)} {rng.choice(['=', '>'])} 0" for _ in range(rng.randint(1, 2)))
+        for _ in range(d)
+    ]
+    return " /\\ ".join(f"({c})" for c in clauses)
+
+
+def _real_root(p, name) -> bool:
+    return count_real_roots(as_univariate(p, name)) != 0
+
+
+def _expanded_ed_r(qe, x) -> bool:
+    """Every squared bracket, multiplied out at x, has a real root."""
+    brackets = []
+    for i, addend in enumerate(qe.addends):
+        bracket = qe.ring.one
+        for f in addend:
+            bracket = bracket * f.substitute(x)
+        brackets.append((bracket, f"r{i + 1}"))
+    return all(_real_root(b, name) for b, name in brackets)
+
+
+def _expanded_ae_r(qe, x) -> bool:
+    """The expansion at every node has a real root in s."""
+    nodes = range(1, qe.provenance.d + 1)
+    return all(_real_root(qe.substituted_equation({**x, "r": Fraction(n)}), "s") for n in nodes)
+
+
+@pytest.mark.parametrize("shape,decider,oracle", [
+    (Shape.Ed_R, decide_ed_r, _expanded_ed_r),
+    (Shape.AE_R, decide_ae_r_structured, _expanded_ae_r),
+], ids=["ed_R", "ae_R"])
+def test_block_verdicts_equal_the_expanded_rule(shape, decider, oracle):
+    rng = random.Random(f"blocks:{shape.value}")
+    seen = set()
+    for d in (1, 2, 3):
+        for bits in BITS:
+            x = _point(rng, Field.R, bits)
+            qe = build_for_shape(shape, to_cnf(parse(_cnf_text(rng, d), Field.R)))
+            want = oracle(qe, x)
+            assert decider(qe, x) == want, (shape, d, bits)
+            assert decider(from_json(to_json(qe)), x) == want, (shape, d, bits)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("shape,point", [
+    (Shape.Ed_R, {"y": 0, "z": 1}),
+    (Shape.AE_R, {"y": 0, "z": 1}),
+], ids=["ed_R", "ae_R"])
+def test_zero_factor_zeroes_its_block_whatever_the_point_lacks(shape, point):
+    """At y = 0 the block's factor y is zero, so its expansion has no w left:
+    the point needs no value for w, as on the expansion."""
+    qe = build_for_shape(shape, to_cnf(parse("w*z = 0 \\/ y = 0", Field.R)))
+    assert qe.substituted_equation(point).variables() <= {"r", "r1", "s"}
+    assert decider_for_shape(shape)(qe, point) is True
+    with pytest.raises(UnexpectedVariablesError):
+        decider_for_shape(shape)(qe, {"y": 1, "z": 1})
+
+
+@pytest.mark.parametrize("shape,fld", [
+    (Shape.Ed_R, Field.R),
+    (Shape.AE_R, Field.R),
+    (Shape.E3d_Q, Field.Q),
+    (Shape.AE3_Q, Field.Q),
+], ids=["ed_R", "ae_R", "e3d_Q", "ae3_Q"])
+def test_structured_deciders_never_fold(monkeypatch, shape, fld):
+    rng = random.Random(f"nofold:{shape.value}")
+    x = _point(rng, fld, 64)
+    qe = build_for_shape(shape, to_cnf(parse(_cnf_text(rng, 3), fld)))
+    kinds = [qe, from_json(to_json(qe))]  # loading renders the expansion once
+    calls = _no_folds(monkeypatch)
+    for eq in kinds:
+        decider_for_shape(shape)(eq, x)
     assert calls == []
 
 

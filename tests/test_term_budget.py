@@ -7,27 +7,13 @@ import io
 import json
 import sys
 import time
-from math import comb
 
 import pytest
 
 from boolelim.cli import EXIT_PARSE, EXIT_SIZE, main
 from boolelim.errors import SizeLimitError
-from boolelim.formula import _power_products, parse
+from boolelim.formula import parse
 from boolelim.poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field
-
-
-def test_power_products_follow_the_closed_form():
-    for n in range(2, 7):
-        for e in range(0, 40):
-            want = n * (comb(e + n - 1, n) - 1) if e else 0
-            got = _power_products(n, e)
-            if want <= MAX_TERM_PRODUCTS:
-                assert got == want, (n, e)
-            else:
-                assert got > MAX_TERM_PRODUCTS, (n, e)
-    assert _power_products(1, 10**9) == 0  # a power of one term stays one term
-    assert _power_products(10**6, 10**6) > MAX_TERM_PRODUCTS
 
 
 def test_wide_product_is_refused_before_it_is_multiplied():
@@ -70,6 +56,30 @@ def test_expansion_past_the_budget_exits_4_at_once(monkeypatch):
     argv = ["eliminate", "--field", "q", "--form", "e3d", "--output", "json"]
     t0 = time.perf_counter()
     assert _cli(monkeypatch, argv, "(x - z > 3 \\/ y*z > 1 \\/ x + z > 2)") == EXIT_SIZE
+    assert time.perf_counter() - t0 < 2.0
+
+
+def _cancelling_clauses(k: int, width: int) -> str:
+    """Two clauses of k equations of width distinct variables each, the
+    second negating the first's terms: for odd k their clause products sum
+    to zero, so the leading coefficient of the forall-exists selector sum
+    cancels at every sample and the degree report checks it exactly, on the
+    expanded clause products."""
+    terms = [" + ".join(f"x{j}_{m}" for m in range(width)) for j in range(k)]
+    first = " \\/ ".join(f"{t} = 0" for t in terms)
+    second = " \\/ ".join(f"-({t}) = 0" for t in terms)
+    return f"({first}) /\\ ({second})"
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--field", "c", "--form", "ae"],
+    ["eliminate", "--field", "c", "--form", "ae", "--output", "latex"],
+], ids=["report", "latex"])
+def test_exact_degree_check_past_the_budget_exits_4_at_once(monkeypatch, argv):
+    """The product of three 70-term equations would multiply out 4900 * 70,
+    343,000, term products in its last step alone."""
+    t0 = time.perf_counter()
+    assert _cli(monkeypatch, argv, _cancelling_clauses(3, 70)) == EXIT_SIZE
     assert time.perf_counter() - t0 < 2.0
 
 
