@@ -3,13 +3,15 @@
 Subcommands: eliminate, decide, verify, report, selftest, plot. Exit codes
 are part of the contract: 0 success, 2 parse error, 3 incompatible form,
 field, or literal kind, 4 size limit, 5 unresolved sampling verdict,
-6 unsupported equation shape, 7 equivalence disagreement.
+6 unsupported equation shape, 7 equivalence disagreement. A reader that
+closes stdout early ends the run with 0 and no error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -445,7 +447,14 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args, out)
+        code = _DISPATCH[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: that ends the run, the input was fine;
+        # stdout goes to devnull so the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for t, code in _EXIT_CODES.items() if isinstance(exc, t))

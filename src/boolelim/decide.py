@@ -169,35 +169,35 @@ def _prefix_names(qe: QuantifiedEquation, pattern: tuple) -> tuple:
 # -- the block walk ------------------------------------------------------------------
 
 
-def _blocks(qe: QuantifiedEquation, x: Mapping, forall_value=None) -> list:
-    """The decisive blocks of the layout at x, as (clause, point, factors,
-    exists variable). A product, exists-first with power 1 (an opaque
-    equation's one factor is its whole polynomial), is one block: the guard
-    and the one addend. A sum of squares has one block per addend, in the
-    first of its own variables. A forall-first construction has addend i at
-    the node i + 1, where the guard is 1 and every other selector vanishes;
-    given a forall value, only the node it is on, if any, since off the nodes
-    the guard vanishes at 1/prod(value - i). At a forall value an opaque
+def _blocks(qe: QuantifiedEquation, forall_value=None) -> list:
+    """The decisive blocks of the layout, as (clause, binding, factors,
+    exists variable), where the binding is what the block adds to the
+    point. A product, exists-first with power 1 (an opaque equation's one
+    factor is its whole polynomial), is one block: the guard and the one
+    addend. A sum of squares has one block per addend, in the first of its
+    own variables. A forall-first construction has addend i at the node
+    i + 1, where the guard is 1 and every other selector vanishes; given a
+    forall value, only the node it is on, if any, since off the nodes the
+    guard vanishes at 1/prod(value - i). At a forall value an opaque
     equation with one exists variable is one product block."""
-    x = dict(x)
     exists = [n for q, n in qe.prefix if q == "exists"]
     if not qe.prefix or qe.prefix[0][0] == "exists":
         if qe.power == 2:
             k = len(exists) // max(len(qe.addends), 1)
-            return [(i, x, a, exists[k * i]) for i, a in enumerate(qe.addends)]
+            return [(i, {}, a, exists[k * i]) for i, a in enumerate(qe.addends)]
         if len(qe.addends) != 1:
             raise ShapeUnsupportedError(f"decide {qe.shape.value} needs a product of factors")
-        return [(0, x, (qe.guard, *qe.addends[0]), exists[0])]
+        return [(0, {}, (qe.guard, *qe.addends[0]), exists[0])]
     univ = qe.prefix[0][1]
     if forall_value is not None and qe.provenance is None and len(exists) == 1:
-        return [(0, {**x, univ: forall_value}, (qe.guard, *qe.addends[0]), exists[0])]
+        return [(0, {univ: forall_value}, (qe.guard, *qe.addends[0]), exists[0])]
     d = qe.construction().provenance.d
     if forall_value is None:
         nodes = range(1, d + 1)
     else:
         node = _is_node(forall_value, d)
         nodes = [node] if node else []
-    return [(n - 1, {**x, univ: Fraction(n)}, qe.addends[n - 1], exists[0]) for n in nodes]
+    return [(n - 1, {univ: Fraction(n)}, qe.addends[n - 1], exists[0]) for n in nodes]
 
 
 def _factor_vanishes(f: MultiPoly, name: str, forall: str | None, fld: Field) -> bool:
@@ -236,7 +236,9 @@ def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, forall_value=None)
     whose gadgets vanish on sums of three squares, take the three-squares
     test on clause i's literals instead: an equation term is zero or an
     order term passes it."""
-    blocks = _blocks(qe, x, forall_value)
+    blocks = _blocks(qe, forall_value)
+    if not blocks:
+        return True
     what = f"decide {qe.shape.value}"
     m = qe.provenance
     if qe.field is Field.Q and m is not None and m.kind is NormalForm.CNF:
@@ -249,8 +251,14 @@ def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, forall_value=None)
         )
     # the forall variable after an exists one stays in its blocks (ea)
     forall = next((n for q, n in qe.prefix[1:] if q == "forall"), None)
+    # each value becomes a constant of the ring once, not once per factor:
+    # x's values that no binding overrides, then each binding's
+    ring = qe.ring
+    bound = {n for _, binding, _, _ in blocks for n in binding}
+    shared = {n: ring.const(v) for n, v in x.items() if n not in bound and ring.table.has(n)}
     read = []
-    for _, point, factors, name in blocks:
+    for _, binding, factors, name in blocks:
+        point = {**shared, **{n: ring.const(v) for n, v in binding.items()}}
         allowed = {name, forall}
         if set().union(*(f.variables() for f in factors)) - allowed - point.keys():
             # a variable the point lacks stays unless the substitution

@@ -15,17 +15,21 @@ non-real one raises FieldMismatchError) and uses any other value as given,
 which lets quadratic-extension witnesses through.
 
 Univariate views expose one variable with polynomial coefficients, at most
-MAX_UNIVARIATE_DEGREE of them (SizeLimitError above); the scalar-coefficient
-case carries the Euclidean toolbox (gcd, squarefree part, Sturm chains,
-real-root counting).
+MAX_UNIVARIATE_DEGREE of them (SizeLimitError above). Views with scalar
+coefficients go through one fraction-free kernel: denominators are cleared
+once per view, gcds and squarefree parts come from subresultant remainder
+sequences over Z or Z[i], and Sturm chains from primitive integer
+pseudo-remainders; only the views the gcd and the squarefree part return
+are field scalars again.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     FieldMismatchError,
@@ -567,7 +571,52 @@ def univariate_from_scalars(ring: PolyRing, name: str, coeffs: Iterable) -> UniV
     return UniView(name, tuple(cs), ring)
 
 
-# -- scalar-coefficient Euclidean toolbox -----------------------------------
+# -- the fraction-free univariate kernel ------------------------------------
+#
+# A scalar view is cleared of denominators once, by the lcm of every
+# coefficient's denominators (both parts over C), into a list of ints over R
+# and Q, of Gaussian integers over C. Remainders are pseudo-remainders,
+# lc(b)^(deg a - deg b + 1) * a mod b, so every division in the kernel is
+# exact; field scalars come back only in the views the public functions
+# return.
+
+
+class _GaussInt:
+    """re + im*i with int parts, the ring Z[i] the kernel works in over C."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __sub__(self, o):
+        return _GaussInt(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return _GaussInt(self.re * o, self.im * o)
+        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        out = _GaussInt(1, 0)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __floordiv__(self, o):
+        """The exact quotient; the kernel divides only where o divides."""
+        if type(o) is int:
+            return _GaussInt(self.re // o, self.im // o)
+        n = o.re * o.re + o.im * o.im
+        return _GaussInt(
+            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
+        )
 
 
 def _strim(c: list) -> list:
@@ -576,67 +625,126 @@ def _strim(c: list) -> list:
     return c
 
 
-def _sdivmod(num: list, den: list) -> tuple[list, list]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero polynomial")
-    num = list(num)
-    if not num:
-        return [], []
-    q = [num[0] * 0] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    while len(num) >= len(den) and num:
-        k = len(num) - len(den)
-        f = num[-1] * inv_lead
-        q[k] = f
-        for j, d in enumerate(den):
-            num[k + j] = num[k + j] - f * d
-        num.pop()
-        _strim(num)
-    return _strim(q), num
+def _integers(cs: list) -> list[int]:
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs]
 
 
-def _smonic(c: list) -> list:
-    if not c:
-        return c
-    inv = 1 / c[-1]
-    return [x * inv for x in c]
+def _cleared(view: UniView) -> list:
+    """The view's scalars times the lcm of their denominators: ints over R
+    and Q, Gaussian integers over C."""
+    cs = view.scalars()
+    if view.ring.field is not Field.C:
+        return _integers(cs)
+    parts = _integers([x for c in cs for x in (c.re, c.im)])
+    return [_GaussInt(parts[j], parts[j + 1]) for j in range(0, len(parts), 2)]
 
 
-def _sgcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _sdivmod(a, b)
-        a, b = b, r
-    return _smonic(a)
+def _primitive(c: list) -> list:
+    """c divided by the positive gcd of all its integer parts, which keeps
+    every sign; c is nonzero."""
+    if type(c[0]) is _GaussInt:
+        g = math.gcd(*(x for z in c for x in (z.re, z.im)))
+    else:
+        g = math.gcd(*c)
+    return c if g == 1 else [x // g for x in c]
 
 
-def _sderiv(c: list) -> list:
+def _deriv(c: list) -> list:
     return _strim([c[j] * j for j in range(1, len(c))])
+
+
+def _pdivmod(a: list, b: list) -> tuple[list, list]:
+    """(q, r) with lc(b)^(deg a - deg b + 1) * a = q*b + r and deg r < deg b,
+    for a nonzero b of degree at most deg a."""
+    lb = b[-1]
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        lr = r.pop()
+        q = [x * lb for x in q]
+        q[k] = lr
+        r = [x * lb for x in r]
+        if lr:
+            for j in range(n):
+                r[k + j] = r[k + j] - lr * b[j]
+    return q, _strim(r)
+
+
+def _monic(c: list) -> list:
+    """c divided by its leading coefficient, as field scalars."""
+    lc = c[-1]
+    if type(lc) is not _GaussInt:
+        return [Fraction(x, lc) for x in c]
+    n = lc.re * lc.re + lc.im * lc.im
+    return [
+        GaussianRational(
+            Fraction(x.re * lc.re + x.im * lc.im, n), Fraction(x.im * lc.re - x.re * lc.im, n)
+        )
+        for x in c
+    ]
+
+
+def _subresultant_prs(a: list, b: list) -> Iterator[list]:
+    """The remainders after a and b of their subresultant remainder sequence
+    (Collins 1967; Brown & Traub 1971), up to the first constant one, for
+    deg a >= deg b. Each pseudo-remainder is divided exactly by g*h^delta,
+    which keeps the coefficients the size of subresultants."""
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        _, r = _pdivmod(a, b)
+        if not r:
+            return
+        div = g * h**delta
+        a, b = b, [x // div for x in r]
+        yield b
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+
+
+def _prs_gcd(a: list, b: list) -> list:
+    """A gcd of a and b up to a constant factor: the last remainder of the
+    subresultant sequence of their primitive parts."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    a, b = _primitive(a), _primitive(b)
+    last = b
+    for last in _subresultant_prs(a, b):
+        pass
+    return last
 
 
 def gcd_univariate(p: UniView, q: UniView) -> UniView:
     """Monic gcd over the scalar field; gcd(p, 0) is monic(p), gcd(0,0) = 0."""
     if p.var != q.var:
         raise ValueError("views over different variables")
-    g = _sgcd(p.scalars(), q.scalars())
-    return univariate_from_scalars(p.ring, p.var, g)
+    g = _prs_gcd(_cleared(p), _cleared(q))
+    return univariate_from_scalars(p.ring, p.var, _monic(g) if g else g)
 
 
 def squarefree_part(p: UniView) -> UniView:
-    """p / gcd(p, p'); radical of a nonzero scalar univariate."""
-    c = p.scalars()
+    """p / gcd(p, p'), monic: the radical of a nonzero scalar univariate."""
+    c = _cleared(p)
     if not c:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    g = _sgcd(c, _sderiv(c))
-    quo, rem = _sdivmod(c, g)
-    assert not rem
-    return univariate_from_scalars(p.ring, p.var, _smonic(quo))
+    g = _prs_gcd(c, _deriv(c))
+    # a constant gcd leaves p squarefree; dividing by it would only scale
+    quo = c if len(g) == 1 else _pdivmod(c, _primitive(g))[0]
+    return univariate_from_scalars(p.ring, p.var, _monic(quo))
 
 
 @dataclass(frozen=True)
 class SturmChain:
+    """A Sturm chain as primitive integer coefficient lists, constant term
+    first: positive multiples of p, p' and the negated Euclidean remainders,
+    so it has the sign variations of the Euclidean chain everywhere."""
+
     var: str
-    polys: tuple[tuple[Fraction, ...], ...]
+    polys: tuple[tuple[int, ...], ...]
 
     def variations_at_minus_inf(self) -> int:
         signs = [(-1 if c[-1] < 0 else 1) * (-1) ** (len(c) - 1) for c in self.polys]
@@ -659,34 +767,37 @@ def _sign_changes(signs: list[int]) -> int:
     return n
 
 
-def _require_rational_coeffs(view: UniView) -> list[Fraction]:
+def _rational_cleared(view: UniView) -> list[int]:
     if view.ring.field is Field.C:
         raise FieldMismatchError("Sturm chains are defined over ordered fields")
-    return view.scalars()
+    return _cleared(view)
 
 
 def sturm_chain(p: UniView) -> SturmChain:
-    """Canonical chain: p, p', then negated Euclidean remainders."""
-    c = _require_rational_coeffs(p)
+    """p, p', then negated pseudo-remainders, each made primitive. A
+    pseudo-remainder is lc^(delta+1) times the Euclidean remainder, so its
+    sign is turned back where that power is negative; divided by its
+    positive content, every member is a positive multiple of the Euclidean
+    chain's."""
+    c = _rational_cleared(p)
     if not c:
         raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-    chain = [list(c)]
+    chain = [_primitive(c)]
     if len(c) > 1:
-        chain.append(_sderiv(c))
+        chain.append(_primitive(_deriv(chain[0])))
         while len(chain[-1]) > 1:
-            _, r = _sdivmod(chain[-2], chain[-1])
+            a, b = chain[-2], chain[-1]
+            _, r = _pdivmod(a, b)
             if not r:
                 break
-            chain.append([-x for x in r])
+            flipped = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+            chain.append(_primitive(r if flipped else [-x for x in r]))
     return SturmChain(p.var, tuple(tuple(q) for q in chain))
 
 
 def count_real_roots(p: UniView):
     """Number of distinct real roots; INFINITE for the zero polynomial."""
-    c = _require_rational_coeffs(p)
-    if not c:
-        return INFINITE
-    if len(c) == 1:
-        return 0
+    if p.degree < 1:
+        return 0 if _rational_cleared(p) else INFINITE
     chain = sturm_chain(p)
     return chain.variations_at_minus_inf() - chain.variations_at_plus_inf()

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -399,3 +403,22 @@ def test_q_structured_decide_at_a_point_missing_a_variable(tmp_path, form, refut
         argv += ["--refute", "--seed", "1"]
     want = EXIT_SHAPE if refute and form == "e3d" else EXIT_PARSE
     assert run(argv)[0] == want
+
+
+def test_closed_stdout_ends_the_run_with_exit_0(tmp_path):
+    # a reader that stops early (`| head`) closes the pipe before the output
+    # is written; that is not an input error
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "boolelim.cli", "eliminate", "--field", "q", "--form", "e",
+             "--output", "json"],
+            input=b"true", stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""

@@ -26,10 +26,10 @@ from boolelim.decide import (
     refute_ae,
 )
 from boolelim.elim import QuantifiedEquation, Shape, build_for_shape, from_json, to_json
-from boolelim.errors import ShapeUnsupportedError, UnexpectedVariablesError
+from boolelim.errors import FieldMismatchError, ShapeUnsupportedError, UnexpectedVariablesError
 from boolelim.exactnum import gaussian
 from boolelim.formula import parse, to_cnf, to_dnf
-from boolelim.poly import Field, as_univariate, count_real_roots, gcd_univariate
+from boolelim.poly import Field, PolyRing, as_univariate, count_real_roots, gcd_univariate
 
 MONOMIALS = ("1", "y", "z", "y*z", "y^2", "z^2")
 BITS = (4, 32, 64, 128)
@@ -227,6 +227,39 @@ def test_zero_factor_zeroes_its_block_whatever_the_point_lacks(shape, point):
     assert decider_for_shape(shape)(qe, point) is True
     with pytest.raises(UnexpectedVariablesError):
         decider_for_shape(shape)(qe, {"y": 1, "z": 1})
+
+
+@pytest.mark.parametrize("shape,fld", [
+    (Shape.EA_C, Field.C),
+    (Shape.E_R, Field.R),
+    (Shape.Ed_R, Field.R),
+    (Shape.AE_R, Field.R),
+], ids=["ea_C", "e_R", "ed_R", "ae_R"])
+def test_each_point_value_becomes_a_ring_constant_once(monkeypatch, shape, fld):
+    """The block walk converts the point once, not once per factor it
+    substitutes into; a non-real value is still refused over R."""
+    rng = random.Random(f"once:{shape.value}")
+    x = _point(rng, fld, 32)
+    if shape in (Shape.EA_C, Shape.E_R):
+        matrix = to_dnf(parse(_dnf_text(rng, 3, x, fld, plant=False), fld))
+    else:
+        matrix = to_cnf(parse(_cnf_text(rng, 3), fld))
+    qe = build_for_shape(shape, matrix)
+    assert sum(len(a) for a in qe.addends) > 1
+    converted = []
+    const = PolyRing.const
+
+    def counting(ring, v):
+        if any(v is value for value in x.values()):
+            converted.append(v)
+        return const(ring, v)
+
+    monkeypatch.setattr(PolyRing, "const", counting)
+    decider_for_shape(shape)(qe, x)
+    assert sorted(map(str, converted)) == sorted(map(str, x.values()))
+    if fld is Field.R:
+        with pytest.raises(FieldMismatchError):
+            decider_for_shape(shape)(qe, {**x, "y": gaussian(1, 1)})
 
 
 @pytest.mark.parametrize("shape,fld", [
