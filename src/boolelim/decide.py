@@ -1,24 +1,25 @@
 """Exact decision oracles for quantified single-equation statements.
 
-Every decider but one reads the layout, never the expansion: the statement
-holds at a point x exactly when every decisive block of the layout has a
-vanishing factor, and one block walk decides them all. A product (the
-exists-forall form over C, the single-exists form over R and Q, and any
-opaque equation, whose one factor is its polynomial) is one block; a sum of
-squares has one per bracket, in its own exists variables; a forall-first
-construction has clause i's at the selector node i, the only decisive
-universal values. With a forall variable left a factor vanishes when its
-coefficients in it share a root (a nonconstant gcd), since C[b] has no zero
-divisors; otherwise at a complex root over C, or a Sturm-counted real root
-over R and Q. The Q gadget blocks take the three-squares criterion on the
-clause's literals. The single-exists form over Q, whose construction has
-only rational real roots, and the per-conjunct and forall-exists shapes are
-decided on constructions only: built, or loaded with a provenance that
-from_json rebuilds. "forall a exists b" over C reads the expansion, as its
-opaque equations need: it fails only where every positive-degree
-b-coefficient vanishes and the constant one does not, a gcd and squarefree
-computation. A sampling refuter runs the block walk at each sampled
-universal value, returning REFUTED with the bad value or UNRESOLVED.
+Every decider reads the layout, never the expansion: the statement holds at
+a point x exactly when every decisive block of the layout has a vanishing
+factor, and one block walk decides them all. A product (the exists-forall
+form over C, the single-exists form over R and Q, and any opaque equation,
+whose one factor is its polynomial) is one block; a sum of squares has one
+per bracket, in its own exists variables; a forall-first construction has
+clause i's at the selector node i, the only decisive universal values. With
+a forall variable left a factor vanishes when its coefficients in it share
+a root (a nonconstant gcd), since C[b] has no zero divisors; otherwise at a
+complex root over C, or a Sturm-counted real root over R and Q. The Q
+gadget blocks take the three-squares criterion on the clause's literals.
+The single-exists form over Q, whose construction has only rational real
+roots, and the per-conjunct and forall-exists shapes are decided on
+constructions only: built, or loaded with a provenance that from_json
+rebuilds. Only an opaque "forall a exists b" equation over C has no nodes
+to read: it fails only where every positive-degree b-coefficient of its
+one polynomial vanishes and the constant one does not, a gcd and
+squarefree computation. A sampling refuter runs the block walk at each
+sampled universal value, returning REFUTED with the bad value or
+UNRESOLVED.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _blocks(qe: QuantifiedEquation, forall_value=None) -> list:
             raise ShapeUnsupportedError(f"decide {qe.shape.value} needs a product of factors")
         return [(0, {}, (qe.guard, *qe.addends[0]), exists[0])]
     univ = qe.prefix[0][1]
-    if forall_value is not None and qe.provenance is None and len(exists) == 1:
+    if forall_value is not None and qe.opaque and len(exists) == 1:
         return [(0, {univ: forall_value}, (qe.guard, *qe.addends[0]), exists[0])]
     d = qe.construction().provenance.d
     if forall_value is None:
@@ -291,12 +292,17 @@ def decide_ea_c(qe: QuantifiedEquation, x: Mapping) -> bool:
 def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     """forall a exists b: p(a, b, x) = 0, decided exactly over C.
 
-    Writing p = sum_j d_j(a) b^j, the inner polynomial has no root exactly
-    where all d_j with j >= 1 vanish and d_0 does not. So the statement
-    fails iff the gcd g of the positive-degree coefficients has a root
-    that d_0 misses."""
+    A construction is decided at its selector nodes: off them the guard
+    vanishes at b = 1/prod(a - h), and at node i clause i's factors remain,
+    one of which must have a root in b. An opaque equation's one polynomial
+    p = sum_j d_j(a) b^j has no root in b exactly where all d_j with j >= 1
+    vanish and d_0 does not, so the statement fails iff the gcd g of the
+    positive-degree coefficients has a root that d_0 misses. Any other
+    equation, such as a copy of a construction, is refused."""
     a_name, b_name = _prefix_names(qe, ("forall", "exists"))
-    p = qe.substituted_equation(x)
+    if not qe.opaque:
+        return _every_block_vanishes(_construction_of(qe, Shape.AE_C), x)
+    p = qe.guard.substitute(x)
     _require_only([p], {a_name, b_name}, "decide_ae_c")
     coeffs = as_univariate(p, b_name).coeffs
     if not coeffs:
@@ -446,12 +452,13 @@ def _as_check_scalar(v):
 
 
 def check_witness(qe: QuantifiedEquation, x: Mapping, assignment: Mapping) -> bool:
-    """Exact substitution of the witness into the equation.
+    """Exact substitution of the witness into the layout.
 
     All exists variables must be assigned. Unassigned forall variables are
     allowed only when the substituted equation is the zero polynomial in
     them (the exists-forall case); otherwise the fully bound value must be
-    exactly zero. Square-root witnesses evaluate in the quadratic extension."""
+    exactly zero. qe.vanishes_at answers both without multiplying a product
+    out. Square-root witnesses evaluate in the quadratic extension."""
     exists_names = {n for q, n in qe.prefix if q == "exists"}
     missing = exists_names - set(assignment)
     if missing:
@@ -463,14 +470,11 @@ def check_witness(qe: QuantifiedEquation, x: Mapping, assignment: Mapping) -> bo
         has_quad = has_quad or isinstance(v, QuadScalar)
         bound[name] = v
     unbound = [n for _, n in qe.prefix if n not in bound]
-    if not unbound:
-        return not qe.fold(lambda f: f.evaluate(bound))
-    if has_quad:
+    if unbound and has_quad:
         raise MissingAssignmentError(
             f"square-root witnesses need every quantified variable bound; missing {unbound}"
         )
-    residual = qe.substituted_equation(bound)
-    return residual.is_zero()
+    return qe.vanishes_at(bound)
 
 
 # -- equivalence harness ---------------------------------------------------------------

@@ -146,6 +146,26 @@ class QuantifiedEquation:
         return total if _is_unit(self.guard) else times(fmap(self.guard), total)
 
     @property
+    def opaque(self) -> bool:
+        """No provenance, and the polynomial held whole as the guard over
+        one empty addend, as from_json loads an equation without one."""
+        return self.provenance is None and self.power == 1 and self.addends == ((),)
+
+    def vanishes_at(self, x: Mapping) -> bool:
+        """Whether the equation is zero at x, never multiplying a product
+        out. Where x binds every quantified variable, the guard's value or
+        the sum of the addend values to the power is zero. Otherwise a
+        product (power 1, one addend) is the zero polynomial iff its guard
+        or some factor substitutes to it, as a polynomial ring over a field
+        has no zero divisors; another layout is multiplied out."""
+        if x.keys() >= set(self.quantified_names()):
+            total = sum(v**self.power for v in self.addend_values(lambda f: f.evaluate(x)))
+            return not self.guard.evaluate(x) or not total
+        if self.power == 1 and len(self.addends) == 1:
+            return any(f.substitute(x).is_zero() for f in (self.guard, *self.addends[0]))
+        return self.substituted_equation(x).is_zero()
+
+    @property
     def equation(self) -> MultiPoly:
         if self._equation is None:
             self._equation = self.fold(lambda p: p)

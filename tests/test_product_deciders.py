@@ -7,16 +7,20 @@ rule bracket by bracket and node by node; the refuter's node reduction must
 equal the expanded rule sample by sample; and none of them may multiply the
 equation out."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from boolelim import decide, poly
 from boolelim.cli import EXIT_PARSE, main
 from boolelim.decide import (
     SamplePlan,
     VerdictKind,
+    check_witness,
+    decide_ae_c,
     decide_ae_r_structured,
     decide_e_r,
     decide_ea_c,
@@ -25,11 +29,26 @@ from boolelim.decide import (
     has_real_root,
     refute_ae,
 )
-from boolelim.elim import QuantifiedEquation, Shape, build_for_shape, from_json, to_json
+from boolelim.elim import (
+    QuantifiedEquation,
+    Shape,
+    build_for_shape,
+    extract_witness,
+    from_json,
+    to_json,
+    witness_recipe,
+)
 from boolelim.errors import FieldMismatchError, ShapeUnsupportedError, UnexpectedVariablesError
 from boolelim.exactnum import gaussian
-from boolelim.formula import parse, to_cnf, to_dnf
-from boolelim.poly import Field, PolyRing, as_univariate, count_real_roots, gcd_univariate
+from boolelim.formula import eval_formula, parse, to_cnf, to_dnf
+from boolelim.poly import (
+    Field,
+    PolyRing,
+    as_univariate,
+    count_real_roots,
+    gcd_univariate,
+    squarefree_part,
+)
 
 MONOMIALS = ("1", "y", "z", "y*z", "y^2", "z^2")
 BITS = (4, 32, 64, 128)
@@ -338,3 +357,136 @@ def test_true_first_factor_does_not_hide_a_missing_variable(tmp_path, form, fld,
     with open(out, "w") as fh:
         assert main(["decide", "--input", str(eq), "--point", "y=0,z=1"], out=fh) == 0
         assert main(["decide", "--input", str(eq), "--point", "y=0"], out=fh) == EXIT_PARSE
+
+
+# -- forall a exists b over C ---------------------------------------------------------
+
+
+AE_BITS = (4, 32, 128, 512)
+
+
+def _ae_cnf_text(rng, d, point, plant) -> str:
+    """d random clauses of one or two equation or inequation literals; when
+    planted, every clause also holds a literal true at the point: an
+    equation in y that vanishes there or a random inequation."""
+    clauses = []
+    for i in range(d):
+        lits = [f"{_term(rng)} {rng.choice(['=', '!='])} 0" for _ in range(rng.randint(1, 2))]
+        if plant:
+            lits.append(f"{_vanishing_at(point, Field.C)} = 0" if i % 2 else f"{_term(rng)} != 0")
+        clauses.append("(" + " \\/ ".join(lits) + ")")
+    return " /\\ ".join(clauses)
+
+
+def _expanded_ae_c(qe, x) -> bool:
+    """The rule on the expansion: p = sum_j d_j(a) b^j has no root in b
+    exactly where every d_j with j >= 1 vanishes and d_0 does not, so the
+    statement holds iff every root of the gcd g of those d_j is one of d_0."""
+    coeffs = as_univariate(qe.substituted_equation(x), "b").coeffs
+    high = [as_univariate(c, "a") for c in coeffs[1:] if not c.is_zero()]
+    if not high:
+        return not coeffs or coeffs[0].is_zero()
+    g = high[0]
+    for v in high[1:]:
+        g = gcd_univariate(g, v)
+    d0 = as_univariate(coeffs[0], "a")
+    if g.degree == 0 or d0.is_zero():
+        return True
+    sf = squarefree_part(g)
+    return gcd_univariate(sf, d0).degree == sf.degree
+
+
+def test_ae_c_node_walk_equals_the_expanded_rule():
+    """Built and loaded constructions are decided at the nodes, the opaque
+    equation by the gcd rule on its one polynomial; all three agree with the
+    rule on the expansion, and with the formula, from 4- to 512-bit parts."""
+    rng = random.Random("ae_c:nodes")
+    seen = set()
+    for d in (1, 2, 3, 4):
+        for k, bits in enumerate(AE_BITS):
+            x = _point(rng, Field.C, bits)
+            phi = parse(_ae_cnf_text(rng, d, x, plant=(d + k) % 2 == 0), Field.C)
+            qe = build_for_shape(Shape.AE_C, to_cnf(phi))
+            want = _expanded_ae_c(qe, x)
+            assert want == eval_formula(phi, x), (d, bits)
+            built, loaded, opaque = _three_kinds(qe)
+            assert opaque.provenance is None
+            for eq in (built, loaded, opaque):
+                assert decide_ae_c(eq, x) == want, (d, bits)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_ae_c_decider_never_folds(monkeypatch):
+    rng = random.Random("nofold:AE_C")
+    x = _point(rng, Field.C, 64)
+    phi = parse(_ae_cnf_text(rng, 3, x, plant=True), Field.C)
+    kinds = _three_kinds(build_for_shape(Shape.AE_C, to_cnf(phi)))
+    calls = _no_folds(monkeypatch)
+    for eq in kinds:
+        assert decide_ae_c(eq, x) is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("plant", [True, False], ids=["true", "false"])
+def test_ae_c_construction_proves_no_gcd_at_512_bits(monkeypatch, plant):
+    """At the nodes a factor's root in b is a degree check: no gcd chain
+    runs, however wide the point."""
+    rng = random.Random(f"nogcd:{plant}")
+    x = _point(rng, Field.C, 512)
+    phi = parse(_ae_cnf_text(rng, 4, x, plant), Field.C)
+    qe = build_for_shape(Shape.AE_C, to_cnf(phi))
+    loaded = from_json(to_json(qe))
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return gcd_univariate(p, q)
+
+    monkeypatch.setattr(decide, "gcd_univariate", counting)
+    monkeypatch.setattr(poly, "gcd_univariate", counting)
+    for eq in (qe, loaded):
+        assert decide_ae_c(eq, x) == eval_formula(phi, x)
+    assert calls == []
+
+
+def test_ae_c_decider_refuses_other_layouts():
+    """A copy of a construction, or a layout made by hand, is neither a
+    construction nor an opaque equation."""
+    qe = build_for_shape(Shape.AE_C, to_cnf(parse("y = 0 \\/ z != 0", Field.C)))
+    point = {"y": gaussian(0), "z": gaussian(1)}
+    assert decide_ae_c(qe, point) is True
+    copy = dataclasses.replace(qe)
+    with pytest.raises(ShapeUnsupportedError):
+        decide_ae_c(copy, point)
+    by_hand = QuantifiedEquation(
+        qe.field, qe.prefix, qe.shape, qe.ring, guard=qe.guard, addends=qe.addends
+    )
+    with pytest.raises(ShapeUnsupportedError):
+        decide_ae_c(by_hand, point)
+
+
+def test_ea_c_witness_check_with_b_unbound_never_folds(monkeypatch):
+    """The a-slice is the zero polynomial in b iff some factor is: the check
+    agrees with the expanded slice on built, loaded and opaque equations,
+    for the extracted witness and a wrong one, without multiplying out."""
+    rng = random.Random("witness:EA_C")
+    seen = set()
+    for d in (1, 2, 3):
+        for bits in (4, 64):
+            x = _point(rng, Field.C, bits)
+            phi = parse(_dnf_text(rng, d, x, Field.C, plant=True), Field.C)
+            qe = build_for_shape(Shape.EA_C, to_dnf(phi))
+            good = extract_witness(witness_recipe(qe), None, x)
+            cases = []
+            for eq in _three_kinds(qe):
+                for w in (good, {"a": good["a"] + 1}):
+                    want = eq.substituted_equation({**x, **w}).is_zero()
+                    cases.append((eq, w, want))
+            calls = _no_folds(monkeypatch)
+            for eq, w, want in cases:
+                assert check_witness(eq, x, w) is want, (d, bits)
+                seen.add(want)
+            monkeypatch.undo()
+            assert calls == []
+    assert seen == {True, False}
