@@ -8,13 +8,6 @@ from .decide import (
     Verdict,
     VerdictKind,
     check_witness,
-    decide_ae3_q_structured,
-    decide_ae_c,
-    decide_ae_r_structured,
-    decide_e3d_q_structured,
-    decide_e_r,
-    decide_ea_c,
-    decide_ed_r,
     decider_for_shape,
     equivalence_run,
     exists_root_c,

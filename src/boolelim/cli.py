@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .decide import (
@@ -27,7 +26,7 @@ from .elim import (
     SHAPE_SPECS,
     QuantifiedEquation,
     Shape,
-    build_for_shape,
+    compile_formula,
     degree_report,
     from_json,
     to_json,
@@ -53,16 +52,8 @@ from .fixtures import (
     quadrant_fixture,
     rendered_equation,
 )
-from .formula import (
-    DEFAULT_CLAUSE_LIMIT,
-    NormalForm,
-    Rel,
-    parse,
-    rewrite_neq_to_orders,
-    to_cnf,
-    to_dnf,
-)
-from .poly import Field, PolyRing, render_poly
+from .formula import DEFAULT_CLAUSE_LIMIT, parse
+from .poly import Field, render_poly
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -171,22 +162,12 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return lo, hi, step
 
 
-def _matrix(phi, shape: Shape, fld: Field, limit: int = DEFAULT_CLAUSE_LIMIT):
-    """phi's clause matrix for the shape, tagged with fld even when phi is
-    constant and so names no ring of its own."""
-    dnf = SHAPE_SPECS[shape].kind is NormalForm.DNF
-    m = to_dnf(phi, limit) if dnf else to_cnf(phi, limit)
-    return m if m.ring is not None else replace(m, ring=PolyRing(fld))
-
-
 def _build_from_text(text: str, form: str, fld: Field, limit: int) -> tuple:
     shape = _FORM_SHAPE.get((form, fld))
     if shape is None:
         raise FieldMismatchError(f"form {form!r} is not defined over field {fld.value}")
     phi = parse(text, fld)
-    if Rel.GT0 in SHAPE_SPECS[shape].literals:
-        phi = rewrite_neq_to_orders(phi)
-    return phi, build_for_shape(shape, _matrix(phi, shape, fld, limit))
+    return phi, compile_formula(phi, shape, fld, limit)
 
 
 def _load_equation(arg: str) -> QuantifiedEquation:
@@ -266,11 +247,9 @@ def _cmd_verify(args, out) -> int:
     if args.corrupt:
         # negative control: swap in the complement formula's equation, which
         # must disagree with phi at every sampled point
-        from .formula import f_not, render_formula
+        from .formula import f_not
 
-        _, qe = _build_from_text(
-            render_formula(f_not(phi)), args.form, fld, args.clause_limit
-        )
+        qe = compile_formula(f_not(phi), qe.shape, fld, args.clause_limit)
     plan = SamplePlan(seed=args.seed, count=args.points, bound=args.bound)
     report = equivalence_run(phi, qe, decider_for_shape(qe.shape), plan)
     print(
@@ -292,8 +271,7 @@ def _selftest_cases(corrupt: bool):
         got = rendered_equation(build_case(case))
         yield f"golden {case.name}", got == expected
 
-    from .decide import decide_e_r
-
+    decide_e_r = decider_for_shape(Shape.E_R)
     simplified = quadrant_fixture(True)
     raw = quadrant_fixture(False)
     pts = grid_points(Fraction(-2), Fraction(2), Fraction(1, 4))
@@ -325,7 +303,7 @@ def _selftest_cases(corrupt: bool):
         kind = SHAPE_SPECS[shape].kind
         for seed in range(3):
             phi = random_formula(seed, RandomFormulaParams(field=fld, kind=kind))
-            qe = build_for_shape(shape, _matrix(phi, shape, fld))
+            qe = compile_formula(phi, shape, fld)
             rep = equivalence_run(
                 phi, qe, decider_for_shape(shape), SamplePlan(seed=seed + 100, count=8)
             )

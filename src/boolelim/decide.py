@@ -1,25 +1,30 @@
 """Exact decision oracles for quantified single-equation statements.
 
-Every decider reads the layout, never the expansion: the statement holds at
-a point x exactly when every decisive block of the layout has a vanishing
-factor, and one block walk decides them all. A product (the exists-forall
-form over C, the single-exists form over R and Q, and any opaque equation,
-whose one factor is its polynomial) is one block; a sum of squares has one
-per bracket, in its own exists variables; a forall-first construction has
-clause i's at the selector node i, the only decisive universal values. With
-a forall variable left a factor vanishes when its coefficients in it share
-a root (a nonconstant gcd), since C[b] has no zero divisors; otherwise at a
+One rule decides every shape, read from the shape's SHAPE_SPECS entry. An
+equation over a field of the spec's unbuilt_fields (the exists-forall and
+forall-exists forms over C, the single-exists form over R) is decided as
+it stands once its prefix fits the spec's unbuilt_prefix. Any other
+equation must be its own construction: built, or loaded with a provenance
+that from_json rebuilds. So an opaque equation of another shape, a copy of
+a construction, and a Q equation whose roots need not be rational are
+refused.
+
+The block walk then reads the layout, never the expansion: the statement
+holds at a point x exactly when every decisive block of the layout has a
+vanishing factor. A product (the exists-forall form over C, the
+single-exists form over R and Q, and any opaque equation, whose one factor
+is its polynomial) is one block; a sum of squares has one per bracket, in
+its own exists variables; a forall-first construction has clause i's at
+the selector node i, the only decisive universal values. With a forall
+variable left a factor vanishes when its coefficients in it share a root
+(a nonconstant gcd), since C[b] has no zero divisors; otherwise at a
 complex root over C, or a Sturm-counted real root over R and Q. The Q
 gadget blocks take the three-squares criterion on the clause's literals.
-The single-exists form over Q, whose construction has only rational real
-roots, and the per-conjunct and forall-exists shapes are decided on
-constructions only: built, or loaded with a provenance that from_json
-rebuilds. Only an opaque "forall a exists b" equation over C has no nodes
-to read: it fails only where every positive-degree b-coefficient of its
-one polynomial vanishes and the constant one does not, a gcd and
-squarefree computation. A sampling refuter runs the block walk at each
-sampled universal value, returning REFUTED with the bad value or
-UNRESOLVED.
+Only an opaque forall-exists equation over C has no nodes to read: it
+fails only where every positive-degree b-coefficient of its one polynomial
+vanishes and the constant one does not, a gcd and squarefree computation.
+A sampling refuter runs the block walk at each sampled universal value,
+returning REFUTED with the bad value or UNRESOLVED.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping
 
-from .elim import GADGETS, QuantifiedEquation, Shape, SqrtValue, _is_node
+from .elim import GADGETS, SHAPE_SPECS, QuantifiedEquation, Shape, SqrtValue, _is_node
 from .errors import (
     MissingAssignmentError,
     ShapeUnsupportedError,
@@ -158,15 +164,6 @@ def _gcd_fold(polys: list, name: str) -> UniView:
     return g
 
 
-def _prefix_names(qe: QuantifiedEquation, pattern: tuple) -> tuple:
-    kinds = tuple(q for q, _ in qe.prefix)
-    if kinds != pattern:
-        raise ShapeUnsupportedError(
-            f"prefix {kinds} does not fit the expected pattern {pattern}"
-        )
-    return tuple(n for _, n in qe.prefix)
-
-
 # -- the block walk ------------------------------------------------------------------
 
 
@@ -276,34 +273,24 @@ def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, forall_value=None)
     )
 
 
-# -- the deciders ---------------------------------------------------------------------
+# -- the decision rule ---------------------------------------------------------------
 
 
-def decide_ea_c(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """exists a forall b: p(a, b, x) = 0, decided exactly over C.
-
-    C[b] has no zero divisors, so the product vanishes identically in b iff
-    some factor does: iff every b-coefficient of that factor vanishes or its
-    nonzero b-coefficients have a common root, i.e. a nonconstant gcd."""
-    _prefix_names(qe, ("exists", "forall"))
-    return _every_block_vanishes(qe, x)
+def _require_prefix(qe: QuantifiedEquation, kinds: tuple) -> None:
+    got = tuple(q for q, _ in qe.prefix)
+    if got != kinds:
+        raise ShapeUnsupportedError(f"prefix {got} does not fit the expected pattern {kinds}")
 
 
-def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """forall a exists b: p(a, b, x) = 0, decided exactly over C.
-
-    A construction is decided at its selector nodes: off them the guard
-    vanishes at b = 1/prod(a - h), and at node i clause i's factors remain,
-    one of which must have a root in b. An opaque equation's one polynomial
-    p = sum_j d_j(a) b^j has no root in b exactly where all d_j with j >= 1
-    vanish and d_0 does not, so the statement fails iff the gcd g of the
-    positive-degree coefficients has a root that d_0 misses. Any other
-    equation, such as a copy of a construction, is refused."""
-    a_name, b_name = _prefix_names(qe, ("forall", "exists"))
-    if not qe.opaque:
-        return _every_block_vanishes(_construction_of(qe, Shape.AE_C), x)
+def _opaque_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
+    """forall a exists b: p(a, b, x) = 0 over C for an opaque equation,
+    which has no selector nodes to read. p = sum_j d_j(a) b^j has no root
+    in b exactly where all d_j with j >= 1 vanish and d_0 does not, so the
+    statement fails iff the gcd g of the positive-degree coefficients has
+    a root that d_0 misses."""
+    (_, a_name), (_, b_name) = qe.prefix
     p = qe.guard.substitute(x)
-    _require_only([p], {a_name, b_name}, "decide_ae_c")
+    _require_only([p], {a_name, b_name}, f"decide {qe.shape.value}")
     coeffs = as_univariate(p, b_name).coeffs
     if not coeffs:
         return True
@@ -322,66 +309,35 @@ def decide_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     return common.degree == sf.degree
 
 
-def has_real_root(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """Whether p(r, x) = 0 has a real root r: whether some factor has one,
-    by Sturm root counting."""
-    _prefix_names(qe, ("exists",))
+def _decide(shape: Shape, qe: QuantifiedEquation, x: Mapping) -> bool:
+    """Whether the statement of an equation of the given shape holds at x.
+
+    An equation over one of the spec's unbuilt_fields needs only the spec's
+    prefix: an opaque forall-first one takes the gcd rule, any other the
+    block walk, whose forall-first blocks still ask for the construction.
+    Every other equation must be its own construction."""
+    if qe.shape is not shape:
+        raise ShapeUnsupportedError(f"expected shape {shape.value}, got {qe.shape.value}")
+    spec = SHAPE_SPECS[shape]
+    if qe.field not in spec.unbuilt_fields:
+        qe = qe.construction()
+    else:
+        _require_prefix(qe, spec.unbuilt_prefix)
+        if qe.opaque and qe.prefix[0][0] == "forall":
+            return _opaque_ae_c(qe, x)
     return _every_block_vanishes(qe, x)
 
 
-def decide_e_r(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """exists r: p(r, x) = 0 over the equation's field, by real roots.
-
-    Over Q only the construction is decided: its roots are r = 1/prod u(x),
-    so at a rational point a real root is a rational one. A Q equation that
-    does not re-derive from its provenance is refused."""
-    if qe.field is Field.Q:
-        qe = _construction_of(qe, Shape.E_R)
-    return has_real_root(qe, x)
+def has_real_root(qe: QuantifiedEquation, x: Mapping) -> bool:
+    """Whether p(r, x) = 0 has a real root r: whether some factor has one,
+    by Sturm root counting."""
+    _require_prefix(qe, ("exists",))
+    return _every_block_vanishes(qe, x)
 
 
-def _construction_of(qe: QuantifiedEquation, shape: Shape) -> QuantifiedEquation:
-    """The construction of an equation of the given shape."""
-    if qe.shape is not shape:
-        raise ShapeUnsupportedError(f"expected shape {shape.value}, got {qe.shape.value}")
-    return qe.construction()
-
-
-def decide_ed_r(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """Sum of squared brackets with disjoint r_i: zero iff every bracket,
-    a product in its own r_i, has a factor with a real root or a zero one."""
-    return _every_block_vanishes(_construction_of(qe, Shape.Ed_R), x)
-
-
-def decide_ae_r_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """forall r exists s for the constructed real shape.
-
-    Only the selector nodes 1..d are decisive: anywhere else the guard
-    vanishes at s = 1/prod(r - i). At node i clause i's factors go to Sturm."""
-    return _every_block_vanishes(_construction_of(qe, Shape.AE_R), x)
-
-
-def decide_e3d_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """Each bracket must vanish: some equation hits zero, or some gadget's
-    reciprocal test passes the three-squares criterion."""
-    return _every_block_vanishes(_construction_of(qe, Shape.E3d_Q), x)
-
-
-def decide_ae3_q_structured(qe: QuantifiedEquation, x: Mapping) -> bool:
-    """Node reduction as in the real forall-exists case, with the inner
-    exists decided by the three-squares criterion."""
-    return _every_block_vanishes(_construction_of(qe, Shape.AE3_Q), x)
-
-
-DECIDER_FOR_SHAPE: dict[Shape, Callable] = {
-    Shape.EA_C: decide_ea_c,
-    Shape.AE_C: decide_ae_c,
-    Shape.E_R: decide_e_r,
-    Shape.Ed_R: decide_ed_r,
-    Shape.AE_R: decide_ae_r_structured,
-    Shape.E3d_Q: decide_e3d_q_structured,
-    Shape.AE3_Q: decide_ae3_q_structured,
-}
+# one entry per shape, each refusing another shape's equation; callers look
+# the entry up at call time
+DECIDER_FOR_SHAPE: dict[Shape, Callable] = {shape: partial(_decide, shape) for shape in Shape}
 
 
 def decider_for_shape(shape: Shape) -> Callable:

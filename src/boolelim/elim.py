@@ -61,6 +61,7 @@ from .errors import (
 )
 from .exactnum import GaussianRational, positivity_witness_q
 from .formula import (
+    DEFAULT_CLAUSE_LIMIT,
     FALSE,
     TRUE,
     ClauseMatrix,
@@ -71,6 +72,7 @@ from .formula import (
     parse,
     parse_term,
     render_formula,
+    rewrite_neq_to_orders,
     to_cnf,
     to_dnf,
 )
@@ -200,6 +202,11 @@ class ShapeSpec:
     power: int  # k in guard * sum_i (prod_j f_ij)^k
     bounds: Callable  # degree report counts -> [(bound, exact)] in prefix order
     notes: tuple  # the witness recipe
+    # the fields over which an equation that is not a construction is
+    # decided, and the prefix kinds it must have; over any other field the
+    # deciders take only the construction
+    unbuilt_fields: frozenset = frozenset()
+    unbuilt_prefix: tuple = ()
 
 
 def _node_bound(c: dict) -> tuple:
@@ -212,6 +219,7 @@ def _node_bound(c: dict) -> tuple:
 _EQ_NEQ = frozenset((Rel.EQ0, Rel.NEQ0))
 _EQ_GT = frozenset((Rel.EQ0, Rel.GT0))
 _C = frozenset((Field.C,))
+_R = frozenset((Field.R,))
 _RQ = frozenset((Field.R, Field.Q))
 _Q = frozenset((Field.Q,))
 
@@ -220,6 +228,7 @@ SHAPE_SPECS: dict[Shape, ShapeSpec] = {
         NormalForm.DNF, _EQ_NEQ, _C, 1,
         lambda c: [(c["d"], True), (c["e_total"], True)],
         ("pick the first true clause i; a := 1/prod_k u_ik(x); any b works",),
+        _C, ("exists", "forall"),
     ),
     Shape.AE_C: ShapeSpec(
         NormalForm.CNF, _EQ_NEQ, _C, 1,
@@ -228,11 +237,13 @@ SHAPE_SPECS: dict[Shape, ShapeSpec] = {
             "at a = node i: b := 0 if some t_ij(x) = 0, else b := 1/u_ik(x) for a nonzero u",
             "at a outside the nodes: b := 1/prod_i (a - i)",
         ),
+        _C, ("forall", "exists"),
     ),
     Shape.E_R: ShapeSpec(
         NormalForm.DNF, _EQ_NEQ, _RQ, 1,
         lambda c: [(2 * c["d"], True)],
         ("pick the first true clause i; r := 1/prod_k u_ik(x)",),
+        _R, ("exists",),
     ),
     Shape.Ed_R: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _RQ, 2,
@@ -475,6 +486,18 @@ def build_for_shape(shape: Shape, m: ClauseMatrix) -> QuantifiedEquation:
     return qe
 
 
+def compile_formula(phi, shape: Shape, fld: Field, limit: int = DEFAULT_CLAUSE_LIMIT):
+    """phi's construction of the shape: inequations rewritten to order
+    literals where the shape's gadgets encode those, then the spec's normal
+    form within the clause limit, tagged with fld when phi is constant and
+    so names no ring of its own."""
+    spec = SHAPE_SPECS[shape]
+    if Rel.GT0 in spec.literals:
+        phi = rewrite_neq_to_orders(phi)
+    m = to_dnf(phi, limit) if spec.kind is NormalForm.DNF else to_cnf(phi, limit)
+    return build_for_shape(shape, m if m.ring is not None else replace(m, ring=PolyRing(fld)))
+
+
 def _fold_constants(m: ClauseMatrix) -> ClauseMatrix:
     """m with its constant literals folded as make_atom folds them: under
     DNF a true literal leaves its clause and a false one drops the clause,
@@ -522,30 +545,27 @@ def _selector_coeff_rows(d: int) -> list[list[Fraction]]:
     return [as_univariate(_node_product(z, d, skip=i), "z").scalars() for i in range(1, d + 1)]
 
 
-def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
-    """Exact degree in the forall variable of the selector sum, None if the
-    sum is identically zero.
+def _universal_degree(qe: QuantifiedEquation, zu: str) -> int:
+    """Exact degree in the forall variable of the selector sum.
 
     Each summand is sel_i(z) * A_i with A_i free of z, so the coefficient of
-    z^m is a known rational combination of the A_i. Random evaluation
-    certifies a nonzero coefficient cheaply; only when sampling keeps
-    returning zero is the combination expanded exactly, within one
+    z^m is a known rational combination of the A_i. The selectors are a
+    basis of the polynomials of degree < d and every A_i is a nonzero
+    product once constants are folded, so the sum is not zero: when the
+    coefficients of z^(d-1) .. z^1 vanish, the constant one does not. Random
+    evaluation certifies a nonzero coefficient cheaply; only when sampling
+    keeps returning zero is the combination expanded exactly, within one
     TermBudget.
     """
     d = len(qe.addends)
-    if d == 0:
-        return None
     tails = [addend[1:] for addend in qe.addends]  # the A_i, after the selectors
-    if d == 1:
-        # single summand: selector is 1, the tail is a product of nonzero polys
-        return 0
     rows = _selector_coeff_rows(d)
     ring = qe.ring
     names = [v.name for v in ring.table.all_vars() if v.name != zu]
     rng = random.Random(9173)
     expanded: list[MultiPoly] | None = None
     times = TermBudget(f"the exact degree check of the {qe.shape.value} selector sum").times
-    for m in range(d - 1, -1, -1):
+    for m in range(d - 1, 0, -1):
         sigma = [rows[i][m] if m < len(rows[i]) else Fraction(0) for i in range(d)]
         for _ in range(8):
             point = {nm: Fraction(rng.randint(-17, 17)) for nm in names}
@@ -567,7 +587,7 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int | None:
                 coeff = coeff + times(expanded[i], ring.const(sigma[i]))
         if not coeff.is_zero():
             return m
-    return None
+    return 0
 
 
 def _deg(p: MultiPoly, name: str) -> int:
@@ -592,8 +612,6 @@ def _measured_degrees(qe: QuantifiedEquation) -> tuple[dict, bool]:
     if qe.prefix and qe.prefix[0][0] == "forall":
         zu = names[0]
         s_deg = _universal_degree(qe, zu)
-        if s_deg is None:
-            return {z: 0 for z in names}, False
         out[zu] = _deg(qe.guard, zu) + s_deg
         return out, s_deg == len(qe.addends) - 1
     return out, True

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import QuantifiedEquation, Shape, build_for_shape
-from .formula import NormalForm, parse, parse_term, to_cnf, to_dnf
+from .elim import QuantifiedEquation, Shape, compile_formula
+from .formula import parse, parse_term
 from .poly import Field, PolyRing, VarTable, render_poly
 
 # the coordinate cross with the origin removed, as equations and inequations
@@ -25,7 +25,6 @@ class FixtureCase:
     name: str
     formula: str
     field: Field
-    kind: NormalForm
     shape: Shape
     expected: str
 
@@ -35,7 +34,6 @@ GOLDEN_CASES: tuple[FixtureCase, ...] = (
         name="ea_c_cross",
         formula=CROSS_NEQ,
         field=Field.C,
-        kind=NormalForm.DNF,
         shape=Shape.EA_C,
         expected=(
             "a^2*y*z - a*b*y^2 - a*b*z^2 + b^2*y*z - a*y - a*z + b*y + b*z + 1"
@@ -45,7 +43,6 @@ GOLDEN_CASES: tuple[FixtureCase, ...] = (
         name="ae_c_cross",
         formula=CROSS_NEQ,
         field=Field.C,
-        kind=NormalForm.CNF,
         shape=Shape.AE_C,
         expected=(
             "-a^3*b^3*y*z + 4*a^2*b^3*y*z + a^3*b^2*y + a^3*b^2*z - a^3*b*y*z"
@@ -59,7 +56,6 @@ GOLDEN_CASES: tuple[FixtureCase, ...] = (
         name="e_r_cross",
         formula=CROSS_NEQ,
         field=Field.R,
-        kind=NormalForm.DNF,
         shape=Shape.E_R,
         expected=(
             "r^4*y^2*z^2 - 2*r^3*y^2*z - 2*r^3*y*z^2 + r^2*y^4 + r^2*z^4"
@@ -71,7 +67,6 @@ GOLDEN_CASES: tuple[FixtureCase, ...] = (
         name="ae_r_quadrant",
         formula=CROSS_ORDER,
         field=Field.R,
-        kind=NormalForm.CNF,
         shape=Shape.AE_R,
         expected=(
             "-r^3*s^5*y*z + 4*r^2*s^5*y*z - 5*r*s^5*y*z + r^3*s^3*y + r^3*s^3*z"
@@ -85,9 +80,7 @@ GOLDEN_CASES: tuple[FixtureCase, ...] = (
 
 
 def build_case(case: FixtureCase) -> QuantifiedEquation:
-    phi = parse(case.formula, case.field)
-    m = to_dnf(phi) if case.kind is NormalForm.DNF else to_cnf(phi)
-    return build_for_shape(case.shape, m)
+    return compile_formula(parse(case.formula, case.field), case.shape, case.field)
 
 
 def rendered_equation(qe: QuantifiedEquation) -> str:

@@ -14,8 +14,6 @@ from boolelim.decide import (
     SamplePlan,
     VerdictKind,
     check_witness,
-    decide_ae_c,
-    decide_e_r,
     decider_for_shape,
     refute_ae,
 )
@@ -194,10 +192,10 @@ def test_criterion_5_quadrant_fixture():
     for y in grid:
         for z in grid:
             pt = {"y": y, "z": z}
-            got = decide_e_r(qe, pt)
+            got = decider_for_shape(Shape.E_R)(qe, pt)
             if got != (y > 0 and z > 0):
                 bad.append(("simplified", str(y), str(z), got))
-            if decide_e_r(raw, pt) != got:
+            if decider_for_shape(Shape.E_R)(raw, pt) != got:
                 bad.append(("raw disagrees", str(y), str(z)))
     _verdict("criterion 5 quadrant fixture (17x17 grid, both variants)", bad)
 
@@ -245,7 +243,7 @@ def test_criterion_7_oracle_cross_validation():
     for k in range(200):
         phi, qe = _built_random(Shape.AE_C, 70000 + k, meta.randint(1, 3), 2, 2)
         pt = _sample_point(rng, Field.C, list(qe.free_names()))
-        truth = decide_ae_c(qe, pt)
+        truth = decider_for_shape(Shape.AE_C)(qe, pt)
         verdict = refute_ae(qe, pt, SamplePlan(seed=900 + k, count=8))
         if truth and verdict.kind is VerdictKind.REFUTED:
             bad.append(("refuted a true point", k, str(verdict.sample)))

@@ -90,6 +90,19 @@ def test_eliminate_rejects_wrong_field_for_form(tmp_path):
     assert run(["eliminate", "--field", "q", "--form", "ed", "--input", f])[0] == EXIT_INCOMPATIBLE
 
 
+def test_eliminate_exits_0_on_exactly_the_documented_form_field_pairs(tmp_path):
+    f = write(tmp_path, "f.txt", "y = 0")
+    codes = {
+        (form, fld): run(["eliminate", "--field", fld, "--form", form, "--input", f])[0]
+        for form in ("ea", "ae", "e", "ed", "e3d", "ae3")
+        for fld in ("c", "r", "q")
+    }
+    documented = {(form, fld) for form, fld, _ in ALL_FORMS}
+    assert len(codes) == 18 and len(documented) == 8
+    assert {pair for pair, code in codes.items() if code == EXIT_OK} == documented
+    assert {codes[pair] for pair in codes.keys() - documented} == {EXIT_INCOMPATIBLE}
+
+
 def test_eliminate_rejects_neq_for_order_form(tmp_path):
     # ed over R takes NEQ input only via the order rewrite, which is applied
     # automatically; a direct complex order literal is a parse-stage error

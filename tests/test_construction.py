@@ -15,7 +15,7 @@ import pytest
 
 from boolelim import elim
 from boolelim.cli import main
-from boolelim.decide import SamplePlan, decide_ae3_q_structured, decider_for_shape, refute_ae
+from boolelim.decide import SamplePlan, decider_for_shape, refute_ae
 from boolelim.elim import SHAPE_SPECS, Shape, build_for_shape, from_json, to_json
 from boolelim.errors import ShapeUnsupportedError
 from boolelim.fixtures import CROSS_NEQ, CROSS_ORDER
@@ -176,8 +176,8 @@ def test_constant_literal_survives_a_json_round_trip():
     m = _matrix(NormalForm.CNF, Field.Q, [[("x", Rel.GT0), (-9, Rel.GT0)]])
     qe = build_for_shape(Shape.AE3_Q, m)
     back = from_json(to_json(qe))
-    assert decide_ae3_q_structured(back, {"x": Fraction(1)}) is True
-    assert decide_ae3_q_structured(back, {"x": Fraction(-1)}) is False
+    assert decider_for_shape(Shape.AE3_Q)(back, {"x": Fraction(1)}) is True
+    assert decider_for_shape(Shape.AE3_Q)(back, {"x": Fraction(-1)}) is False
 
 
 @pytest.mark.parametrize("kind,shape,fld,rel", [

@@ -9,13 +9,6 @@ from boolelim.decide import (
     Verdict,
     VerdictKind,
     check_witness,
-    decide_ae3_q_structured,
-    decide_ae_c,
-    decide_ae_r_structured,
-    decide_e3d_q_structured,
-    decide_e_r,
-    decide_ea_c,
-    decide_ed_r,
     decider_for_shape,
     equivalence_run,
     exists_root_c,
@@ -157,13 +150,13 @@ def test_exists_root_c():
 def test_deciders_match_formula_on_cross_fixture():
     rng = random.Random(40)
     cases = [
-        (Shape.EA_C, decide_ea_c, CROSS_NEQ),
-        (Shape.AE_C, decide_ae_c, CROSS_NEQ),
-        (Shape.E_R, decide_e_r, CROSS_NEQ),
-        (Shape.Ed_R, decide_ed_r, CROSS_ORDER),
-        (Shape.AE_R, decide_ae_r_structured, CROSS_ORDER),
-        (Shape.E3d_Q, decide_e3d_q_structured, CROSS_ORDER),
-        (Shape.AE3_Q, decide_ae3_q_structured, CROSS_ORDER),
+        (Shape.EA_C, decider_for_shape(Shape.EA_C), CROSS_NEQ),
+        (Shape.AE_C, decider_for_shape(Shape.AE_C), CROSS_NEQ),
+        (Shape.E_R, decider_for_shape(Shape.E_R), CROSS_NEQ),
+        (Shape.Ed_R, decider_for_shape(Shape.Ed_R), CROSS_ORDER),
+        (Shape.AE_R, decider_for_shape(Shape.AE_R), CROSS_ORDER),
+        (Shape.E3d_Q, decider_for_shape(Shape.E3d_Q), CROSS_ORDER),
+        (Shape.AE3_Q, decider_for_shape(Shape.AE3_Q), CROSS_ORDER),
     ]
     for shape, decider, text in cases:
         fld, kind, _ = SHAPE_SETUPS[shape]
@@ -210,9 +203,9 @@ def test_decide_e_r_on_quadrant_fixture():
     inside = 0
     for y in grid:
         for z in grid:
-            got = decide_e_r(qe, {"y": y, "z": z})
+            got = decider_for_shape(Shape.E_R)(qe, {"y": y, "z": z})
             assert got == (y > 0 and z > 0)
-            assert decide_e_r(raw, {"y": y, "z": z}) == got
+            assert decider_for_shape(Shape.E_R)(raw, {"y": y, "z": z}) == got
             inside += got
     assert inside == 64
 
@@ -223,13 +216,13 @@ def test_decide_e_r_on_quadrant_fixture():
 def test_structured_deciders_require_provenance():
     qe = quadrant_fixture()  # E_R layout, no provenance
     with pytest.raises(ShapeUnsupportedError):
-        decide_ed_r(qe, {"y": Fraction(1), "z": Fraction(1)})
+        decider_for_shape(Shape.Ed_R)(qe, {"y": Fraction(1), "z": Fraction(1)})
 
 
 def test_structured_decider_rejects_wrong_shape():
     _, qe = built(Shape.AE_R, 3)
     with pytest.raises(ShapeUnsupportedError):
-        decide_ae3_q_structured(qe, {n: Fraction(0) for n in qe.free_names()})
+        decider_for_shape(Shape.AE3_Q)(qe, {n: Fraction(0) for n in qe.free_names()})
 
 
 def test_structured_decider_rejects_tampered_equation():
@@ -244,7 +237,7 @@ def test_structured_decider_rejects_tampered_equation():
     )
     fake._equation = tampered
     with pytest.raises(ShapeUnsupportedError):
-        decide_e3d_q_structured(fake, {n: Fraction(0) for n in fake.free_names()})
+        decider_for_shape(Shape.E3d_Q)(fake, {n: Fraction(0) for n in fake.free_names()})
 
 
 def test_structured_decider_accepts_serialized_equation():
@@ -256,14 +249,14 @@ def test_structured_decider_accepts_serialized_equation():
     rng = random.Random(42)
     for _ in range(8):
         pt = sample_point(rng, Field.Q, list(back.free_names()))
-        assert decide_ae3_q_structured(back, pt) == eval_formula(phi, pt)
+        assert decider_for_shape(Shape.AE3_Q)(back, pt) == eval_formula(phi, pt)
 
 
 def test_complete_decider_rejects_leftover_variables():
     _, qe = built(Shape.E_R, 2)
     missing = {n: Fraction(1) for n in list(qe.free_names())[:-1]}
     with pytest.raises(UnexpectedVariablesError):
-        decide_e_r(qe, missing)
+        decider_for_shape(Shape.E_R)(qe, missing)
 
 
 # -- refuter ---------------------------------------------------------------------
@@ -299,9 +292,9 @@ def test_refute_consistent_with_structured_deciders():
     # soundness: a refutation sample can only appear where the decider says false
     rng = random.Random(43)
     for shape, decider in (
-        (Shape.AE_C, decide_ae_c),
-        (Shape.AE_R, decide_ae_r_structured),
-        (Shape.AE3_Q, decide_ae3_q_structured),
+        (Shape.AE_C, decider_for_shape(Shape.AE_C)),
+        (Shape.AE_R, decider_for_shape(Shape.AE_R)),
+        (Shape.AE3_Q, decider_for_shape(Shape.AE3_Q)),
     ):
         fld = SHAPE_SETUPS[shape][0]
         for seed in range(4):
@@ -441,10 +434,10 @@ def test_check_witness_forall_shapes_at_values():
 
 def test_equivalence_run_agrees_on_golden():
     for case, decider in (
-        (GOLDEN_CASES[0], decide_ea_c),
-        (GOLDEN_CASES[1], decide_ae_c),
-        (GOLDEN_CASES[2], decide_e_r),
-        (GOLDEN_CASES[3], decide_ae_r_structured),
+        (GOLDEN_CASES[0], decider_for_shape(Shape.EA_C)),
+        (GOLDEN_CASES[1], decider_for_shape(Shape.AE_C)),
+        (GOLDEN_CASES[2], decider_for_shape(Shape.E_R)),
+        (GOLDEN_CASES[3], decider_for_shape(Shape.AE_R)),
     ):
         qe = build_case(case)
         phi = parse(case.formula, case.field)
@@ -458,7 +451,7 @@ def test_equivalence_run_agrees_on_golden():
 def test_equivalence_run_reports_disagreement():
     qe = build_case(GOLDEN_CASES[2])
     lying = parse("true", Field.R)  # wrong formula for this equation
-    out = equivalence_run(lying, qe, decide_e_r, SamplePlan(seed=10, count=30))
+    out = equivalence_run(lying, qe, decider_for_shape(Shape.E_R), SamplePlan(seed=10, count=30))
     assert out["agreements"] < 30
     rec = out["disagreements"][0]
     assert set(rec) == {"point", "expected", "got", "seed", "index"}

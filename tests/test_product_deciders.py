@@ -20,11 +20,6 @@ from boolelim.decide import (
     SamplePlan,
     VerdictKind,
     check_witness,
-    decide_ae_c,
-    decide_ae_r_structured,
-    decide_e_r,
-    decide_ea_c,
-    decide_ed_r,
     decider_for_shape,
     has_real_root,
     refute_ae,
@@ -115,9 +110,9 @@ def _expanded_e_r(qe, x) -> bool:
 
 
 CASES = [
-    (Shape.EA_C, Field.C, decide_ea_c, _expanded_ea_c),
-    (Shape.E_R, Field.R, decide_e_r, _expanded_e_r),
-    (Shape.E_R, Field.Q, decide_e_r, _expanded_e_r),
+    (Shape.EA_C, Field.C, decider_for_shape(Shape.EA_C), _expanded_ea_c),
+    (Shape.E_R, Field.R, decider_for_shape(Shape.E_R), _expanded_e_r),
+    (Shape.E_R, Field.Q, decider_for_shape(Shape.E_R), _expanded_e_r),
 ]
 
 
@@ -217,8 +212,8 @@ def _expanded_ae_r(qe, x) -> bool:
 
 
 @pytest.mark.parametrize("shape,decider,oracle", [
-    (Shape.Ed_R, decide_ed_r, _expanded_ed_r),
-    (Shape.AE_R, decide_ae_r_structured, _expanded_ae_r),
+    (Shape.Ed_R, decider_for_shape(Shape.Ed_R), _expanded_ed_r),
+    (Shape.AE_R, decider_for_shape(Shape.AE_R), _expanded_ae_r),
 ], ids=["ed_R", "ae_R"])
 def test_block_verdicts_equal_the_expanded_rule(shape, decider, oracle):
     rng = random.Random(f"blocks:{shape.value}")
@@ -412,7 +407,7 @@ def test_ae_c_node_walk_equals_the_expanded_rule():
             built, loaded, opaque = _three_kinds(qe)
             assert opaque.provenance is None
             for eq in (built, loaded, opaque):
-                assert decide_ae_c(eq, x) == want, (d, bits)
+                assert decider_for_shape(Shape.AE_C)(eq, x) == want, (d, bits)
             seen.add(want)
     assert seen == {True, False}
 
@@ -424,7 +419,7 @@ def test_ae_c_decider_never_folds(monkeypatch):
     kinds = _three_kinds(build_for_shape(Shape.AE_C, to_cnf(phi)))
     calls = _no_folds(monkeypatch)
     for eq in kinds:
-        assert decide_ae_c(eq, x) is True
+        assert decider_for_shape(Shape.AE_C)(eq, x) is True
     assert calls == []
 
 
@@ -446,7 +441,7 @@ def test_ae_c_construction_proves_no_gcd_at_512_bits(monkeypatch, plant):
     monkeypatch.setattr(decide, "gcd_univariate", counting)
     monkeypatch.setattr(poly, "gcd_univariate", counting)
     for eq in (qe, loaded):
-        assert decide_ae_c(eq, x) == eval_formula(phi, x)
+        assert decider_for_shape(Shape.AE_C)(eq, x) == eval_formula(phi, x)
     assert calls == []
 
 
@@ -455,15 +450,15 @@ def test_ae_c_decider_refuses_other_layouts():
     construction nor an opaque equation."""
     qe = build_for_shape(Shape.AE_C, to_cnf(parse("y = 0 \\/ z != 0", Field.C)))
     point = {"y": gaussian(0), "z": gaussian(1)}
-    assert decide_ae_c(qe, point) is True
+    assert decider_for_shape(Shape.AE_C)(qe, point) is True
     copy = dataclasses.replace(qe)
     with pytest.raises(ShapeUnsupportedError):
-        decide_ae_c(copy, point)
+        decider_for_shape(Shape.AE_C)(copy, point)
     by_hand = QuantifiedEquation(
         qe.field, qe.prefix, qe.shape, qe.ring, guard=qe.guard, addends=qe.addends
     )
     with pytest.raises(ShapeUnsupportedError):
-        decide_ae_c(by_hand, point)
+        decider_for_shape(Shape.AE_C)(by_hand, point)
 
 
 def test_ea_c_witness_check_with_b_unbound_never_folds(monkeypatch):

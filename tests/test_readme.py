@@ -1,7 +1,9 @@
 """Every command of the README's command-line block runs as written: the
 `boolelim ...` lines go through `cli.main` in order, in one directory, with
 `echo '...' |` feeding stdin and `> file` capturing stdout, and each must
-exit 0. `cross.txt` holds the formula of the block's `echo` line."""
+exit 0. `cross.txt` holds the formula of the block's `echo` line. The
+Python block of the library section runs too, so a public name it imports
+cannot go from under it."""
 
 import io
 import re
@@ -51,3 +53,12 @@ def test_every_readme_command_exits_zero(tmp_path, monkeypatch):
     (tmp_path / "cross.txt").write_text(shlex.split(lines[0].split(" | ")[0])[1] + "\n")
     for line in lines:
         assert run_line(line, monkeypatch) == 0, line
+
+
+def test_library_block_runs():
+    text = README.read_text()
+    section = text[text.index("## Library entry points"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["degree_report"](namespace["qe"]).satisfied
