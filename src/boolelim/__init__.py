@@ -3,7 +3,6 @@ quantified equation over C, R, or Q, with exact deciders and witnesses."""
 
 from .decide import (
     DECIDER_FOR_SHAPE,
-    QuadScalar,
     SamplePlan,
     Verdict,
     VerdictKind,

@@ -55,95 +55,6 @@ from .poly import (
 )
 
 
-# -- scalar helpers -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadScalar:
-    """a + b*sqrt(q) with rational a, b and nonnegative rational q.
-
-    Arithmetic collapses back to Fraction whenever the radical part cancels,
-    so values from different radicands never actually mix in the even
-    contexts the witness checker evaluates."""
-
-    a: Fraction
-    b: Fraction
-    q: Fraction
-
-    def is_zero(self) -> bool:
-        # a + b*sqrt(q) = 0 iff a^2 = b^2 q and a, b have opposite signs
-        return self.a * self.a == self.b * self.b * self.q and self.a * self.b <= 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def _join(self, other) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        if isinstance(other, QuadScalar):
-            if self.q != other.q:
-                raise ValueError("mixed radicands in quadratic scalar arithmetic")
-            return self.a, self.b, other.a, other.b
-        if isinstance(other, (int, Fraction)):
-            return self.a, self.b, Fraction(other), Fraction(0)
-        raise TypeError(f"cannot combine QuadScalar with {other!r}")
-
-    def __add__(self, other):
-        a, b, c, d = self._join(other)
-        return _quad(a + c, b + d, self.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.q)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadScalar) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        a, b, c, d = self._join(other)
-        return _quad(a * c + b * d * self.q, a * d + b * c, self.q)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a quadratic scalar")
-        out = Fraction(1)
-        base = self
-        while e:
-            if e & 1:
-                out = base * out
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadScalar)):
-            diff = self - other if not isinstance(other, QuadScalar) else self + (-other)
-            if isinstance(diff, Fraction):
-                return diff == 0
-            return diff.is_zero()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.q))
-
-    def __str__(self):
-        return f"{self.a} + {self.b}*sqrt({self.q})"
-
-
-def _quad(a: Fraction, b: Fraction, q: Fraction):
-    return Fraction(a) if b == 0 else QuadScalar(a, b, q)
-
-
-def _require_only(polys: list, allowed: set, what: str):
-    extra = set().union(*(p.variables() for p in polys)) - allowed
-    if extra:
-        raise UnexpectedVariablesError(f"{what}: unexpected variables {sorted(extra)}")
-
-
 # -- complete oracles over C ----------------------------------------------------
 
 
@@ -276,6 +187,18 @@ def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, forall_value=None)
 # -- the decision rule ---------------------------------------------------------------
 
 
+def _require_only(polys: list, allowed: set, what: str):
+    extra = set().union(*(p.variables() for p in polys)) - allowed
+    if extra:
+        raise UnexpectedVariablesError(f"{what}: unexpected variables {sorted(extra)}")
+
+
+def _require_free(qe: QuantifiedEquation, x: Mapping) -> None:
+    named = set(qe.quantified_names()).intersection(x)
+    if named:
+        raise UnexpectedVariablesError(f"the point names quantified variables {sorted(named)}")
+
+
 def _require_prefix(qe: QuantifiedEquation, kinds: tuple) -> None:
     got = tuple(q for q, _ in qe.prefix)
     if got != kinds:
@@ -315,7 +238,9 @@ def _decide(shape: Shape, qe: QuantifiedEquation, x: Mapping) -> bool:
     An equation over one of the spec's unbuilt_fields needs only the spec's
     prefix: an opaque forall-first one takes the gcd rule, any other the
     block walk, whose forall-first blocks still ask for the construction.
-    Every other equation must be its own construction."""
+    Every other equation must be its own construction. A point that names
+    a quantified variable is refused."""
+    _require_free(qe, x)
     if qe.shape is not shape:
         raise ShapeUnsupportedError(f"expected shape {shape.value}, got {qe.shape.value}")
     spec = SHAPE_SPECS[shape]
@@ -383,6 +308,7 @@ def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:
     """Sample the universal variable, integers 1..d first, deciding the inner
     exists exactly by the block walk at each sample; REFUTED carries the
     first failing sample."""
+    _require_free(qe, x)
     if not qe.prefix or qe.prefix[0][0] != "forall":
         raise ShapeUnsupportedError("refuter needs a forall-first prefix")
     d = qe.provenance.d if qe.provenance is not None else 0
@@ -401,12 +327,6 @@ def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:
 # -- witness checking -----------------------------------------------------------------
 
 
-def _as_check_scalar(v):
-    if isinstance(v, SqrtValue):
-        return QuadScalar(Fraction(0), Fraction(1), v.radicand)
-    return v
-
-
 def check_witness(qe: QuantifiedEquation, x: Mapping, assignment: Mapping) -> bool:
     """Exact substitution of the witness into the layout.
 
@@ -414,19 +334,16 @@ def check_witness(qe: QuantifiedEquation, x: Mapping, assignment: Mapping) -> bo
     allowed only when the substituted equation is the zero polynomial in
     them (the exists-forall case); otherwise the fully bound value must be
     exactly zero. qe.vanishes_at answers both without multiplying a product
-    out. Square-root witnesses evaluate in the quadratic extension."""
+    out. A SqrtValue witness needs every quantified variable bound; it is
+    checked by its square, after the rest of the point has collected like
+    terms, and an odd power of an irrational root raises ValueError."""
     exists_names = {n for q, n in qe.prefix if q == "exists"}
     missing = exists_names - set(assignment)
     if missing:
         raise MissingAssignmentError(f"unassigned exists variables {sorted(missing)}")
-    bound = dict(x)
-    has_quad = False
-    for name, v in assignment.items():
-        v = _as_check_scalar(v)
-        has_quad = has_quad or isinstance(v, QuadScalar)
-        bound[name] = v
+    bound = {**x, **assignment}
     unbound = [n for _, n in qe.prefix if n not in bound]
-    if unbound and has_quad:
+    if unbound and any(isinstance(v, SqrtValue) for v in assignment.values()):
         raise MissingAssignmentError(
             f"square-root witnesses need every quantified variable bound; missing {unbound}"
         )

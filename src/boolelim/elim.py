@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
@@ -156,13 +157,19 @@ class QuantifiedEquation:
     def vanishes_at(self, x: Mapping) -> bool:
         """Whether the equation is zero at x, never multiplying a product
         out. Where x binds every quantified variable, the guard's value or
-        the sum of the addend values to the power is zero. Otherwise a
-        product (power 1, one addend) is the zero polynomial iff its guard
-        or some factor substitutes to it, as a polynomial ring over a field
-        has no zero divisors; another layout is multiplied out."""
+        the sum of the addend values to the power is zero, each factor
+        taking the values but the SqrtValue roots first, so its like terms
+        collect (a guard's s*0 goes), and then the roots by their powers.
+        Otherwise a product (power 1, one addend) is the zero polynomial iff
+        its guard or some factor substitutes to it, as a polynomial ring
+        over a field has no zero divisors; another layout is multiplied
+        out."""
         if x.keys() >= set(self.quantified_names()):
-            total = sum(v**self.power for v in self.addend_values(lambda f: f.evaluate(x)))
-            return not self.guard.evaluate(x) or not total
+            roots = {n: v for n, v in x.items() if isinstance(v, SqrtValue)}
+            rest = {n: v for n, v in x.items() if n not in roots}
+            values = self.addend_values(lambda f: f.substitute(rest).evaluate(roots))
+            total = sum(v**self.power for v in values)
+            return not self.guard.substitute(rest).evaluate(roots) or not total
         if self.power == 1 and len(self.addends) == 1:
             return any(f.substitute(x).is_zero() for f in (self.guard, *self.addends[0]))
         return self.substituted_equation(x).is_zero()
@@ -286,6 +293,17 @@ class SqrtValue:
     def __post_init__(self):
         if self.radicand < 0:
             raise ValueError("negative radicand")
+
+    def __pow__(self, e: int) -> Fraction:
+        """radicand ** (e/2), rational for an even e or a square radicand;
+        an odd power of an irrational root raises ValueError."""
+        q = Fraction(self.radicand)
+        if e % 2 == 0:
+            return q ** (e // 2)
+        root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+        if root * root != q:
+            raise ValueError(f"odd power {e} of the irrational {self}")
+        return root**e
 
     def __str__(self):
         return f"sqrt({self.radicand})"

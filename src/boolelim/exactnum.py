@@ -87,7 +87,7 @@ class GaussianRational:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
+            base = base * base if e > 1 else base
             e >>= 1
         return out
 

@@ -9,10 +9,12 @@ what the golden files and the JSON round-trip rely on. Text and LaTeX are one
 term walk; a small style record says how each spells numbers, the imaginary
 unit, mixed Gaussians, products and powers.
 
-Evaluation coerces an int, Fraction or GaussianRational point value into the
-ring's scalars (so a real Gaussian becomes a Fraction over R and Q, and a
-non-real one raises FieldMismatchError) and uses any other value as given,
-which lets quadratic-extension witnesses through.
+Evaluation and substitution are one term walk that multiplies each bound
+variable's power into the coefficient. Both coerce an int, Fraction or
+GaussianRational value into the ring's scalars (so a real Gaussian becomes a
+Fraction over R and Q, and a non-real one raises FieldMismatchError);
+evaluation uses any other value, a square-root witness, as given, and
+substitution refuses it, as it refuses a non-constant polynomial.
 
 Univariate views expose one variable with polynomial coefficients, at most
 MAX_UNIVARIATE_DEGREE of them (SizeLimitError above). Views with scalar
@@ -57,6 +59,8 @@ MAX_NESTING_DEPTH = 100
 
 Scalar = Union[Fraction, GaussianRational]
 Mono = tuple  # tuple[tuple[int, int], ...]
+_EXACT = (int, Fraction, GaussianRational)  # point values coerced into a ring
+_UNBOUND = object()  # a variable the bindings leave in the monomial
 
 
 class TermBudget:
@@ -334,63 +338,62 @@ class MultiPoly:
 
     # -- evaluation and substitution --------------------------------------
 
+    def _bind(self, values: Mapping[str, object], coerce: Callable, strict: bool) -> dict:
+        """The terms with each variable that values binds multiplied into
+        the coefficient as coerce(value) ** exponent, one power per
+        (variable, exponent), collected by the monomial left. Strict, a
+        variable values lacks raises UnexpectedVariablesError."""
+        name_of = self.ring.table.name_of
+        powers: dict = {}
+        out: dict = {}
+        for m, c in self.terms.items():
+            left = ()
+            for k in m:
+                p = powers.get(k)
+                if p is None:
+                    name = name_of(k[0])
+                    if name in values:
+                        p = coerce(values[name]) ** k[1]
+                    elif strict:
+                        raise UnexpectedVariablesError(f"the point gives no value for {name!r}")
+                    else:
+                        p = _UNBOUND
+                    powers[k] = p
+                if p is _UNBOUND:
+                    left += (k,)
+                else:
+                    c = c * p
+            s = out.get(left)
+            s = c if s is None else s + c
+            if s:
+                out[left] = s
+            else:
+                out.pop(left, None)
+        return out
+
     def evaluate(self, point: Mapping[str, object]) -> Scalar:
         """Exact value at a full point; a variable present that the point
-        does not bind raises UnexpectedVariablesError.
-
-        An int, Fraction or GaussianRational value is coerced into the
-        ring's scalars; any other value, such as a quadratic-extension
-        scalar, is used as given."""
+        does not bind raises UnexpectedVariablesError. An int, Fraction or
+        GaussianRational value is coerced into the ring's scalars; any other
+        value, a SqrtValue, is used as given and enters by its powers."""
         ring = self.ring
-        names = ring.table
-        own = GaussianRational if ring.field is Field.C else Fraction
-        cache: dict = {}
-        total = None
-        for m, c in self.terms.items():
-            acc = c
-            for idx, e in m:
-                k = (idx, e)
-                p = cache.get(k)
-                if p is None:
-                    name = names.name_of(idx)
-                    if name not in point:
-                        raise UnexpectedVariablesError(f"the point gives no value for {name!r}")
-                    v = point[name]
-                    if type(v) is not own and isinstance(v, (int, Fraction, GaussianRational)):
-                        v = ring.scalar(v)
-                    p = v**e
-                    cache[k] = p
-                acc = acc * p
-            total = acc if total is None else total + acc
-        return ring.scalar(0) if total is None else total
+        terms = self._bind(point, lambda v: ring.scalar(v) if isinstance(v, _EXACT) else v, True)
+        return terms[()] if terms else ring.scalar(0)
 
     def substitute(self, bindings: Mapping[str, object]) -> "MultiPoly":
-        """Replace variables by polynomials or scalars; others stay."""
+        """Replace variables by field scalars or constants of the ring;
+        others stay. A non-constant polynomial, one from another ring, or a
+        value that is no scalar of the field raises FieldMismatchError."""
         ring = self.ring
-        table = ring.table
-        vals: dict[int, MultiPoly] = {}
-        for name, v in bindings.items():
-            if not table.has(name):
-                continue
-            poly = v if isinstance(v, MultiPoly) else ring.const(v)
-            if poly.ring is not ring:
-                raise FieldMismatchError("substitution value from a different ring")
-            vals[table.get(name).index] = poly
-        out = ring.zero
-        cache: dict = {}
-        for m, c in self.terms.items():
-            kept = tuple((i, e) for i, e in m if i not in vals)
-            piece = MultiPoly(ring, {kept: c})
-            for i, e in m:
-                if i in vals:
-                    k = (i, e)
-                    p = cache.get(k)
-                    if p is None:
-                        p = vals[i] ** e
-                        cache[k] = p
-                    piece = piece * p
-            out = out + piece
-        return out
+
+        def coerce(v):
+            if not isinstance(v, MultiPoly):
+                return ring.scalar(v)
+            if v.ring is not ring or not v.is_constant():
+                raise FieldMismatchError("substitution value is not a constant of the ring")
+            return v.constant_value()
+
+        return MultiPoly(ring, self._bind(bindings, coerce, False))
 
     # -- rendering ---------------------------------------------------------
 

@@ -435,3 +435,25 @@ def test_closed_stdout_ends_the_run_with_exit_0(tmp_path):
         os.close(write_end)
     assert proc.returncode == EXIT_OK
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("text,fld,form,point,extra", [
+    ("y = 0", "c", "ea", "y=0,a=5", []),
+    ("y != 0", "r", "e", "y=1,r=0", []),
+    ("y = 0", "c", "ae", "y=0,a=5", ["--refute", "--seed", "1"]),
+], ids=["ea_c", "e_r", "ae_c_refute"])
+def test_decide_point_naming_a_quantified_variable_is_an_input_error(
+    tmp_path, text, fld, form, point, extra
+):
+    """A point value for a quantified name would bind it and decide another
+    statement; the point gives the free variables only."""
+    f = write(tmp_path, "f.txt", text)
+    _, payload = run(
+        ["eliminate", "--field", fld, "--form", form, "--input", f, "--output", "json"]
+    )
+    eq = write(tmp_path, "eq.json", payload)
+    free_only = point.split(",")[0]
+    assert run(["decide", "--input", eq, "--point", free_only, *extra])[0] in (
+        EXIT_OK, EXIT_UNRESOLVED
+    )
+    assert run(["decide", "--input", eq, "--point", point, *extra])[0] == EXIT_PARSE

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from boolelim.decide import (
-    QuadScalar,
     SamplePlan,
     Verdict,
     VerdictKind,
@@ -77,52 +76,20 @@ def sample_point(rng, fld, names, bound=6):
     return {n: Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) for n in names}
 
 
-# -- QuadScalar ----------------------------------------------------------------
+# -- evaluating at square-root and Gaussian values -------------------------------
 
 
-def test_quad_scalar_arithmetic():
-    two = Fraction(2)
-    a = QuadScalar(Fraction(1), Fraction(1), two)    # 1 + sqrt 2
-    b = QuadScalar(Fraction(1), Fraction(-1), two)   # 1 - sqrt 2
-    assert a * b == Fraction(-1)                     # 1 - 2
-    assert a + b == Fraction(2)
-    assert a - a == 0
-    sq = a * a                                        # 3 + 2 sqrt 2
-    assert sq == QuadScalar(Fraction(3), Fraction(2), two)
-    assert a ** 2 == sq
-    assert a ** 0 == Fraction(1)
-
-
-def test_quad_scalar_zero_detection():
-    two = Fraction(2)
-    root = QuadScalar(Fraction(0), Fraction(1), two)
-    assert root * root - 2 == 0
-    assert bool(root)
-    # a + b sqrt q = 0 needs opposite signs and matching squares
-    assert QuadScalar(Fraction(2), Fraction(-1), Fraction(4)) == 0
-    assert QuadScalar(Fraction(2), Fraction(1), Fraction(4)) != 0
-
-
-def test_quad_scalar_mixed_radicands_rejected():
-    a = QuadScalar(Fraction(0), Fraction(1), Fraction(2))
-    b = QuadScalar(Fraction(0), Fraction(1), Fraction(3))
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-
-
-# -- evaluating at quadratic and Gaussian values -------------------------------
-
-
-def test_evaluate_lets_quadratic_values_through():
+def test_evaluate_takes_square_root_values_by_their_powers():
     ring = PolyRing(Field.R, VarTable())
     r, y = ring.quantified("r"), ring.var("y")
-    root = QuadScalar(Fraction(0), Fraction(1), Fraction(2))
-    value = (r + 1).evaluate({"r": root})
-    assert isinstance(value, QuadScalar)
-    assert value == QuadScalar(Fraction(1), Fraction(1), Fraction(2))
+    root = SqrtValue(Fraction(2))
     assert (r * r - 2 * y).evaluate({"r": root, "y": 1}) == 0
+    # an odd power of an irrational root has no rational value
+    with pytest.raises(ValueError):
+        (r + 1).evaluate({"r": root})
+    # a rational root enters by any power
+    value = (r**3).evaluate({"r": SqrtValue(Fraction(4))})
+    assert type(value) is Fraction and value == 8
 
 
 @pytest.mark.parametrize("fld", [Field.R, Field.Q])
@@ -383,6 +350,28 @@ def test_check_witness_sqrt_values():
     wrong = dict(w)
     wrong["r2"] = Fraction(17)
     assert not check_witness(qe, x, wrong)
+
+
+@pytest.mark.parametrize("shape,forall", [(Shape.Ed_R, None), (Shape.AE_R, Fraction(1))])
+def test_check_witness_perfect_square_radicand(shape, forall):
+    """At u = 1/4 the gadget 1 - r^2*u vanishes at r = sqrt(4) = 2."""
+    qe = build_for_shape(shape, to_cnf(parse("y > 0", Field.R)))
+    x = {"y": Fraction(1, 4)}
+    w = extract_witness(witness_recipe(qe), None, x, forall_value=forall)
+    root = next(v for v in w.values() if isinstance(v, SqrtValue))
+    assert root.radicand == 4
+    assert check_witness(qe, x, w)
+    if shape is Shape.AE_R:
+        # off the nodes the guard holds s to the first power, rational here
+        assert check_witness(qe, x, {"r": Fraction(5, 2), "s": SqrtValue(Fraction(4))})
+
+
+def test_check_witness_refuses_an_odd_power_of_an_irrational_root():
+    """Off the nodes the AE_R guard 1 - s*prod(r - h) holds s to the first
+    power, which sqrt(2) has no rational value for."""
+    qe = build_for_shape(Shape.AE_R, to_cnf(parse("y > 0", Field.R)))
+    with pytest.raises(ValueError):
+        check_witness(qe, {"y": Fraction(1, 2)}, {"r": Fraction(5, 2), "s": SqrtValue(2)})
 
 
 def test_check_witness_all_shapes_random():

@@ -45,6 +45,28 @@ def test_gaussian_inverse_and_pow():
         1 / gaussian(0)
 
 
+def test_gaussian_pow_squares_only_below_the_top_bit(monkeypatch):
+    """Binary powering multiplies once per set bit and squares once per
+    bit below the top one."""
+    count = 0
+    mul = GaussianRational.__mul__
+
+    def counting(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    z = gaussian(Fraction(1, 2), Fraction(-1, 3))
+    powers = [gaussian(1)]
+    for _ in range(64):
+        powers.append(powers[-1] * z)
+    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    for e in range(1, 65):
+        count = 0
+        assert z**e == powers[e]
+        assert count == bin(e).count("1") + e.bit_length() - 1, e
+
+
 def test_gaussian_of_and_str():
     assert GaussianRational.of(Fraction(1, 2)).is_real()
     assert GaussianRational.of(3) == gaussian(3)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from boolelim.elim import SqrtValue
 from boolelim.errors import FieldMismatchError, UnexpectedVariablesError
 from boolelim.exactnum import gaussian
 from boolelim.poly import (
@@ -71,11 +72,14 @@ def test_substitute_partial_then_evaluate():
     assert full == p.evaluate({"x": Fraction(2), "y": Fraction(-1), "z": Fraction(5)})
 
 
-def test_substitute_polynomial_binding():
-    ring, x, y, z = ring_xyz()
+def test_substitute_refuses_non_constant_polynomials_and_square_roots():
+    ring, x, y, z = ring_xyz(Field.R)
     p = x * x + y
-    q = p.substitute({"x": y + z})
-    assert q == (y + z) * (y + z) + y
+    assert p.substitute({"x": ring.const(3)}) == y + 9
+    with pytest.raises(FieldMismatchError):
+        p.substitute({"x": y + z})
+    with pytest.raises(FieldMismatchError):
+        p.substitute({"x": SqrtValue(Fraction(2))})
 
 
 def test_degrees():
