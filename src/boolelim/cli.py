@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .decide import (
     SamplePlan,
@@ -376,12 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("eliminate", help="compile a formula to a quantified equation")
+    sp.set_defaults(run=_cmd_eliminate)
     _add_common(sp, ["json", "latex", "text"])
 
     sp = sub.add_parser("report", help="degree report for the compiled equation")
+    sp.set_defaults(run=_cmd_report)
     _add_common(sp, ["json", "text"])
 
     sp = sub.add_parser("decide", help="decide a serialized equation at a point")
+    sp.set_defaults(run=_cmd_decide)
     sp.add_argument("--input", default="-", help="equation file, - for stdin")
     sp.add_argument("--point", default="", help="comma separated name=value")
     sp.add_argument("--refute", action="store_true", help="sample the universal variable")
@@ -390,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=int, default=32)
 
     sp = sub.add_parser("verify", help="sampled equivalence between formula and equation")
+    sp.set_defaults(run=_cmd_verify)
     _add_common(sp)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--points", type=int, default=64)
@@ -397,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corrupt", action="store_true", help="negative control")
 
     sp = sub.add_parser("selftest", help="golden fixtures and reduced invariant sweeps")
+    sp.set_defaults(run=_cmd_selftest)
     sp.add_argument("--corrupt", action="store_true", help="negative control")
 
     sp = sub.add_parser("plot", help="CSV sweep of a single-exists real equation")
+    sp.set_defaults(run=_cmd_plot)
     sp.add_argument("--input", default=None)
     sp.add_argument("--fixture", choices=["quadrant", "quadrant-raw"], default=None)
     sp.add_argument(
@@ -411,21 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DISPATCH = {
-    "eliminate": _cmd_eliminate,
-    "report": _cmd_report,
-    "decide": _cmd_decide,
-    "verify": _cmd_verify,
-    "selftest": _cmd_selftest,
-    "plot": _cmd_plot,
-}
+# built on the first call to main and reused by every later one
+_parser = cache(build_parser)
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code = _DISPATCH[args.command](args, out)
+        code = args.run(args, out)
         out.flush()
         return code
     except BrokenPipeError:

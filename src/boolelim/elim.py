@@ -23,7 +23,11 @@ for a literal value u and the zero block of a clause satisfied by an
 equation; the CNF constructions, witness extraction and the deciders read it.
 _node_product is the one product over the nodes 1..d, behind the selectors,
 the guard, the off-node witness and the degree report. Quantified names are
-spelled out only in _BUILDERS; everything else reads them from the prefix.
+spelled out only in _BUILDERS, suffixed _k where one is a free variable;
+everything else reads them from the prefix. A construction lives in its
+clause matrix's ring, using the literal terms as the t_ij and u_ik; its
+field is the statement's: C for EA_C and AE_C, the matrix's for E_R, R for
+Ed_R and AE_R, Q for E3d_Q and AE3_Q.
 An equation that build_for_shape returns is its own construction(), and so
 is one that from_json loads with a provenance entry: from_json rebuilds it
 from the recorded matrix, the one place a loaded equation is re-derived.
@@ -365,117 +369,112 @@ def _is_node(value, d: int) -> int | None:
 # -- construction helpers -----------------------------------------------------
 
 
-def _out_ring(m: ClauseMatrix, out_field: Field) -> PolyRing:
-    ring = PolyRing(out_field)
-    if m.ring is not None:
-        for name in m.ring.table.free_names():
-            ring.var(name)
-    return ring
-
-
-def _transplant(p: MultiPoly, ring: PolyRing) -> MultiPoly:
-    """Rebuild a matrix-ring polynomial inside the output ring."""
-    src = p.ring.table
-    table = ring.table
-    out: dict = {}
-    for m, c in p.terms.items():
-        mono = tuple(sorted((table.get(src.name_of(i)).index, e) for i, e in m))
-        out[mono] = ring.scalar(c)
-    return MultiPoly(ring, out)
-
-
-def _u_product(m: ClauseMatrix, i: int, ring: PolyRing) -> MultiPoly:
-    out = ring.one
-    for atom in m.ineqs(i):
-        out = out * _transplant(atom.term, ring)
+def _fresh(m: ClauseMatrix, names) -> list:
+    """The names, or when one is a free variable of m's ring, each with the
+    suffix _k of the smallest k >= 1 that clears every free variable."""
+    free = set(m.ring.table.free_names())
+    out, k = list(names), 0
+    while free.intersection(out):
+        k += 1
+        out = [f"{n}_{k}" for n in names]
     return out
 
 
-def _clause_factors(m: ClauseMatrix, i: int, ring: PolyRing, w: MultiPoly) -> tuple:
+def _u_product(m: ClauseMatrix, i: int) -> MultiPoly:
+    return reduce(mul, (atom.term for atom in m.ineqs(i)), m.ring.one)
+
+
+def _clause_factors(m: ClauseMatrix, i: int, fld: Field, w: MultiPoly) -> tuple:
     """Clause i as factors: its equation terms, then the field's gadgets
     1 - s*u*w per inequation or order term u."""
-    parts = [_transplant(atom.term, ring) for atom in m.eqs(i)]
+    parts = [atom.term for atom in m.eqs(i)]
     for atom in m.ineqs(i):
-        uw = _transplant(atom.term, ring) * w
-        parts.extend(ring.one - s * uw for s in GADGETS[ring.field].scales)
+        uw = atom.term * w
+        parts.extend(m.ring.one - s * uw for s in GADGETS[fld].scales)
     return tuple(parts)
 
 
-# -- the constructions: each returns (ring, prefix, guard, addends) ------------
+# -- the constructions: each returns (field, prefix, guard, addends) -----------
 
 
 def _build_ea_c(m: ClauseMatrix, a_name: str, b_name: str) -> tuple:
-    ring = _out_ring(m, Field.C)
+    ring = m.ring
     a = ring.quantified(a_name)
     b = ring.quantified(b_name)
     factors = []
     for i in range(m.d):
-        f = ring.one - a * _u_product(m, i, ring)
+        f = ring.one - a * _u_product(m, i)
         for j, atom in enumerate(m.eqs(i), start=1):
-            f = f + _transplant(atom.term, ring) * b**j
+            f = f + atom.term * b**j
         factors.append(f)
-    return ring, (("exists", a_name), ("forall", b_name)), None, (tuple(factors),)
+    return Field.C, (("exists", a_name), ("forall", b_name)), None, (tuple(factors),)
 
 
 def _build_e_r(m: ClauseMatrix, r_name: str) -> tuple:
-    ring = _out_ring(m, m.ring.field if m.ring is not None else Field.R)
+    ring = m.ring
     r = ring.quantified(r_name)
     factors = []
     for i in range(m.d):
-        gadget = ring.one - r * _u_product(m, i, ring)
+        gadget = ring.one - r * _u_product(m, i)
         f = gadget * gadget
         for atom in m.eqs(i):
-            t = _transplant(atom.term, ring)
-            f = f + t * t
+            f = f + atom.term * atom.term
         factors.append(f)
-    return ring, (("exists", r_name),), None, (tuple(factors),)
+    return ring.field, (("exists", r_name),), None, (tuple(factors),)
 
 
-def _build_brackets(m: ClauseMatrix, fld: Field, names: Callable) -> tuple:
-    """Sum-of-squares shapes: clause i is one addend over its own exists
-    variables names(i). Over R these are r_i, whose square-root witnesses
-    live in R whether the matrix was tagged R or Q."""
-    ring = _out_ring(m, fld)
-    prefix, addends = [], []
+def _build_brackets(m: ClauseMatrix, fld: Field, names: list) -> tuple:
+    """Sum-of-squares shapes: clause i is one addend over the i-th block of
+    the exists names, a block as wide as the field's gadget zero. Over R
+    these are r_i, whose square-root witnesses live in R whether the matrix
+    was tagged R or Q."""
+    k = len(GADGETS[fld].zero)
+    addends = []
     for i in range(m.d):
-        ys = [ring.quantified(n) for n in names(i)]
-        prefix.extend(("exists", n) for n in names(i))
-        addends.append(_clause_factors(m, i, ring, GADGETS[fld].base(ys)))
-    return ring, tuple(prefix), None, addends
+        ys = [m.ring.quantified(n) for n in names[k * i : k * i + k]]
+        addends.append(_clause_factors(m, i, fld, GADGETS[fld].base(ys)))
+    return fld, tuple(("exists", n) for n in names), None, addends
 
 
-def _build_guarded(m: ClauseMatrix, fld: Field, univ: str, exists: tuple) -> tuple:
-    """Forall-first shapes: the guard 1 - y1*prod_i (z - i) vanishes off the
-    nodes, and at node i the selector sum leaves clause i's factors."""
-    ring = _out_ring(m, fld)
+def _build_guarded(m: ClauseMatrix, fld: Field, names: list) -> tuple:
+    """Forall-first shapes, the forall name then the exists ones: the guard
+    1 - y1*prod_i (z - i) vanishes off the nodes, and at node i the
+    selector sum leaves clause i's factors."""
+    ring = m.ring
+    univ, *exists = names
     z = ring.quantified(univ)
     ys = [ring.quantified(n) for n in exists]
     w = GADGETS[fld].base(ys)
     d = m.d
     guard = ring.one - ys[0] * _node_product(z, d)
     addends = [
-        (lagrange_selector(i, d, z), *_clause_factors(m, i - 1, ring, w))
+        (lagrange_selector(i, d, z), *_clause_factors(m, i - 1, fld, w))
         for i in range(1, d + 1)
     ]
     prefix = (("forall", univ), *(("exists", n) for n in exists))
-    return ring, prefix, guard, addends
+    return fld, prefix, guard, addends
 
 
 _BUILDERS: dict[Shape, Callable[[ClauseMatrix], tuple]] = {
-    Shape.EA_C: lambda m: _build_ea_c(m, "a", "b"),
-    Shape.AE_C: lambda m: _build_guarded(m, Field.C, "a", ("b",)),
-    Shape.E_R: lambda m: _build_e_r(m, "r"),
-    Shape.Ed_R: lambda m: _build_brackets(m, Field.R, lambda i: (f"r{i+1}",)),
-    Shape.AE_R: lambda m: _build_guarded(m, Field.R, "r", ("s",)),
-    Shape.E3d_Q: lambda m: _build_brackets(
-        m, Field.Q, lambda i: tuple(f"v{3*i+k}" for k in (1, 2, 3))
+    Shape.EA_C: lambda m: _build_ea_c(m, *_fresh(m, ("a", "b"))),
+    Shape.AE_C: lambda m: _build_guarded(m, Field.C, _fresh(m, ("a", "b"))),
+    Shape.E_R: lambda m: _build_e_r(m, *_fresh(m, ("r",))),
+    Shape.Ed_R: lambda m: _build_brackets(
+        m, Field.R, _fresh(m, [f"r{i}" for i in range(1, m.d + 1)])
     ),
-    Shape.AE3_Q: lambda m: _build_guarded(m, Field.Q, "v", ("w1", "w2", "w3")),
+    Shape.AE_R: lambda m: _build_guarded(m, Field.R, _fresh(m, ("r", "s"))),
+    Shape.E3d_Q: lambda m: _build_brackets(
+        m, Field.Q, _fresh(m, [f"v{k}" for k in range(1, 3 * m.d + 1)])
+    ),
+    Shape.AE3_Q: lambda m: _build_guarded(m, Field.Q, _fresh(m, ("v", "w1", "w2", "w3"))),
 }
 
 
 def build_for_shape(shape: Shape, m: ClauseMatrix) -> QuantifiedEquation:
-    """Check the matrix against the shape's spec, then construct."""
+    """Check the matrix against the shape's spec, then construct in the
+    matrix's ring. A matrix without one, a constant formula, gets a fresh
+    ring of the construction's field: R where the spec accepts R, else its
+    one field."""
     spec = SHAPE_SPECS[shape]
     what = f"the {shape.value} construction"
     if m.kind is not spec.kind:
@@ -485,16 +484,19 @@ def build_for_shape(shape: Shape, m: ClauseMatrix) -> QuantifiedEquation:
         raise OrderLiteralError(f"{what} does not accept order literals")
     if bad:
         raise NeqLiteralError(f"{what} needs inequations rewritten to order literals first")
-    if m.ring is not None and m.ring.field not in spec.fields:
+    if m.ring is None:
+        fld = Field.R if Field.R in spec.fields else next(iter(spec.fields))
+        m = replace(m, ring=PolyRing(fld))
+    if m.ring.field not in spec.fields:
         names = "/".join(sorted(f.value for f in spec.fields))
         raise FieldMismatchError(f"{what} works over {names}, got {m.ring.field.value}")
     m = _fold_constants(m)
-    ring, prefix, guard, addends = _BUILDERS[shape](m)
+    fld, prefix, guard, addends = _BUILDERS[shape](m)
     qe = QuantifiedEquation(
-        field=ring.field,
+        field=fld,
         prefix=prefix,
         shape=shape,
-        ring=ring,
+        ring=m.ring,
         guard=guard,
         addends=tuple(addends),
         power=spec.power,
@@ -711,13 +713,10 @@ def _first_true_clause(m: ClauseMatrix, x: Mapping) -> int | None:
 
 
 def _inv_u_product(m: ClauseMatrix, i: int, x: Mapping):
-    prod = None
-    for atom in m.ineqs(i):
-        v = atom.term.evaluate(x)
-        prod = v if prod is None else prod * v
-    if prod is None:
-        return Fraction(1) if m.ring is None or m.ring.field is not Field.C else GaussianRational.of(1)
-    return 1 / prod
+    """1/prod_k u_ik(x) in the ring's scalars; the empty clause of a constant
+    true formula, which names no field, takes the rational 1."""
+    unit = m.ring.scalar(1) if m.clauses[i] else Fraction(1)
+    return 1 / reduce(mul, (atom.term.evaluate(x) for atom in m.ineqs(i)), unit)
 
 
 def _clause_block(m: ClauseMatrix, i: int, x: Mapping, gadget: Gadget) -> tuple:
@@ -764,7 +763,7 @@ def extract_witness(
         raise MissingAssignmentError("forall value required for this shape")
     if not all(_clause_true(m, i, x) for i in range(m.d)):
         raise NoWitnessError("formula is false at the point")
-    alpha = PolyRing(recipe.field).scalar(forall_value)
+    alpha = recipe.matrix.ring.scalar(forall_value)
     node = _is_node(alpha, m.d)
     if node is None:
         block = (1 / _node_product(alpha, m.d), *gadget.zero[1:])

@@ -17,10 +17,6 @@ from fractions import Fraction
 from .errors import NotPositiveError
 
 
-def rat(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -103,12 +99,6 @@ class GaussianRational:
     def __hash__(self):
         # equal to the rational it equals, so mixed dict keys agree
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __str__(self) -> str:
         if self.im == 0:

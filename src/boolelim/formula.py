@@ -35,6 +35,7 @@ from .errors import (
     OrderInComplexError,
     OrderOnComplexError,
     SizeLimitError,
+    VariableCollisionError,
 )
 from .exactnum import IMAG_UNIT, GaussianRational
 from .poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing, TermBudget
@@ -412,8 +413,16 @@ def _squaring_products(n: int, e: int) -> int:
 
 def parse(text: str, fld: Field, ring: PolyRing | None = None) -> Formula:
     """Parse a formula over fld; free variables register in order of first
-    appearance, after those a given ring of that field already holds."""
-    return _Parser(_tokenize(text), ring or PolyRing(fld)).formula()
+    appearance, after those a given ring of that field already holds. A
+    name the ring holds as quantified, as a construction built in it
+    registers, raises VariableCollisionError."""
+    ring = ring or PolyRing(fld)
+    toks = _tokenize(text)
+    quantified = {v.name for v in ring.table.all_vars() if v.quantified}
+    for t in toks:
+        if t.kind == "IDENT" and t.text in quantified:
+            raise VariableCollisionError(f"free variable {t.text!r} clashes with a quantifier name")
+    return _Parser(toks, ring).formula()
 
 
 def parse_term(text: str, ring: PolyRing) -> MultiPoly:

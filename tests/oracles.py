@@ -12,8 +12,24 @@ import math
 import random
 from fractions import Fraction
 
+from boolelim.elim import SHAPE_SPECS, Shape
 from boolelim.formula import Atom, ClauseMatrix, NormalForm, Rel
 from boolelim.poly import Field, PolyRing
+
+
+# -- what the tests build each shape from ----------------------------------------
+
+
+def shape_setup(shape: Shape) -> tuple:
+    """(field, normal form, inequation literal) to build the shape from: the
+    spec's kind, its order literal where its gadgets take one, and R where
+    the spec accepts both R and Q."""
+    spec = SHAPE_SPECS[shape]
+    fld = Field.R if Field.R in spec.fields else next(iter(spec.fields))
+    return fld, spec.kind, Rel.GT0 if Rel.GT0 in spec.literals else Rel.NEQ0
+
+
+SHAPE_SETUPS = {shape: shape_setup(shape) for shape in Shape}
 
 
 # -- grid-plus-Cauchy-bound real root scanner -----------------------------------

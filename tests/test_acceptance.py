@@ -40,25 +40,15 @@ from boolelim.fixtures import (
 from boolelim.formula import (
     NormalForm,
     RandomFormulaParams,
-    Rel,
     eval_formula,
     random_formula,
     to_cnf,
     to_dnf,
 )
 from boolelim.poly import Field, PolyRing, VarTable, as_univariate, count_real_roots
-from oracles import make_true_instance, scan_real_roots, three_square_set
+from oracles import SHAPE_SETUPS, make_true_instance, scan_real_roots, three_square_set
 
 
-SHAPE_SETUPS = {
-    Shape.EA_C: (Field.C, NormalForm.DNF, Rel.NEQ0),
-    Shape.AE_C: (Field.C, NormalForm.CNF, Rel.NEQ0),
-    Shape.E_R: (Field.R, NormalForm.DNF, Rel.NEQ0),
-    Shape.Ed_R: (Field.R, NormalForm.CNF, Rel.GT0),
-    Shape.AE_R: (Field.R, NormalForm.CNF, Rel.GT0),
-    Shape.E3d_Q: (Field.Q, NormalForm.CNF, Rel.GT0),
-    Shape.AE3_Q: (Field.Q, NormalForm.CNF, Rel.GT0),
-}
 SHAPE_ORDER = list(SHAPE_SETUPS)
 
 

@@ -332,8 +332,24 @@ def test_decide_point_with_zero_denominator_is_an_input_error(tmp_path):
 
 
 def test_free_variable_named_like_a_quantifier_is_incompatible(tmp_path):
-    f = write(tmp_path, "f.txt", "a = 0")
-    assert run(["eliminate", "--field", "c", "--form", "ea", "--input", f])[0] == EXIT_INCOMPATIBLE
+    """An opaque file keeps the names it gives: a prefix naming one of its
+    free variables is refused."""
+    eq = write(tmp_path, "eq.json", json.dumps({
+        "field": "C", "prefix": [["exists", "a"], ["forall", "b"]], "vars": ["a"],
+        "equation": "a*b", "shape": "EA_C", "counts": {},
+    }))
+    assert run(["decide", "--input", eq, "--point", "a=0"])[0] == EXIT_INCOMPATIBLE
+
+
+def test_free_variable_named_like_a_quantifier_is_renamed_apart(tmp_path):
+    f = write(tmp_path, "f.txt", r"a = 0 \/ x != 0")
+    code, got = run(["eliminate", "--field", "c", "--form", "ea", "--input", f])
+    assert code == EXIT_OK
+    assert got.startswith("exists a_1 forall b_1: ")
+    code, got = run(["eliminate", "--field", "c", "--form", "ea", "--input", f, "--output", "json"])
+    eq = write(tmp_path, "eq.json", got)
+    for point, want in (("a=0,x=0", "TRUE"), ("a=1,x=0", "FALSE"), ("a=1,x=2i", "TRUE")):
+        assert run(["decide", "--input", eq, "--point", point]) == (EXIT_OK, want + "\n")
 
 
 def test_q_tagged_e_equation_not_from_the_construction_is_refused(tmp_path):

@@ -14,6 +14,7 @@ from boolelim.decide import (
     refute_ae,
 )
 from boolelim.elim import (
+    QuantifiedEquation,
     Shape,
     SqrtValue,
     build_for_shape,
@@ -38,7 +39,6 @@ from boolelim.fixtures import (
 from boolelim.formula import (
     NormalForm,
     RandomFormulaParams,
-    Rel,
     eval_formula,
     parse,
     random_formula,
@@ -46,17 +46,7 @@ from boolelim.formula import (
     to_dnf,
 )
 from boolelim.poly import Field, PolyRing, VarTable, as_univariate
-
-
-SHAPE_SETUPS = {
-    Shape.EA_C: (Field.C, NormalForm.DNF, Rel.NEQ0),
-    Shape.AE_C: (Field.C, NormalForm.CNF, Rel.NEQ0),
-    Shape.E_R: (Field.R, NormalForm.DNF, Rel.NEQ0),
-    Shape.Ed_R: (Field.R, NormalForm.CNF, Rel.GT0),
-    Shape.AE_R: (Field.R, NormalForm.CNF, Rel.GT0),
-    Shape.E3d_Q: (Field.Q, NormalForm.CNF, Rel.GT0),
-    Shape.AE3_Q: (Field.Q, NormalForm.CNF, Rel.GT0),
-}
+from oracles import SHAPE_SETUPS
 
 
 def built(shape, seed, **params):
@@ -329,6 +319,33 @@ def test_check_witness_golden_ea_slice():
         assert check_witness(qe, x, full)
     # a wrong slice fails
     assert not check_witness(qe, x, {"a": gaussian(2)})
+
+
+def test_check_witness_with_the_forall_variable_unbound(monkeypatch):
+    """AE_C with b assigned and a left: the guard is not zero in a, so the
+    equation is zero in a exactly when every selector addend is, which at
+    b = 0 is when every clause holds through an equation at x. That reading
+    multiplies the layout out."""
+    phi = parse(r"(y = 0 \/ z != 0) /\ (z = 0 \/ y != 0)", Field.C)
+    qe = build_for_shape(Shape.AE_C, to_cnf(phi))
+    expanded = []
+    original = type(qe).substituted_equation
+    monkeypatch.setattr(
+        type(qe), "substituted_equation", lambda self, x: expanded.append(x) or original(self, x)
+    )
+    for y, z, want in ((0, 0, True), (0, 1, False), (1, 1, False)):
+        x = {"y": gaussian(y), "z": gaussian(z)}
+        for b in (gaussian(0), gaussian(1, 1)):
+            assert check_witness(qe, x, {"b": b}) is want, (y, z, b)
+    assert len(expanded) == 6
+
+
+def test_exists_first_product_with_two_addends_is_refused():
+    ring = PolyRing(Field.R, VarTable())
+    r = ring.quantified("r")
+    qe = QuantifiedEquation(Field.R, (("exists", "r"),), Shape.E_R, ring, addends=((r,), (r - 1,)))
+    with pytest.raises(ShapeUnsupportedError, match="product of factors"):
+        decider_for_shape(Shape.E_R)(qe, {})
 
 
 def test_check_witness_requires_exists_assignment():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from boolelim.decide import decider_for_shape
 from boolelim.errors import (
     FieldMismatchError,
     MissingAssignmentError,
@@ -17,6 +18,7 @@ from boolelim.elim import (
     Shape,
     SqrtValue,
     build_for_shape,
+    compile_formula,
     degree_report,
     extract_witness,
     from_json,
@@ -25,6 +27,7 @@ from boolelim.elim import (
     to_latex,
     witness_recipe,
 )
+from boolelim.exactnum import gaussian
 from boolelim.fixtures import (
     CROSS_NEQ,
     CROSS_ORDER,
@@ -44,19 +47,10 @@ from boolelim.formula import (
     to_dnf,
 )
 from boolelim.poly import Field, PolyRing, VarTable, render_poly
+from oracles import SHAPE_SETUPS
 
 
 ORDER_SHAPES = (Shape.Ed_R, Shape.AE_R, Shape.E3d_Q, Shape.AE3_Q)
-
-SHAPE_SETUPS = {
-    Shape.EA_C: (Field.C, NormalForm.DNF, Rel.NEQ0),
-    Shape.AE_C: (Field.C, NormalForm.CNF, Rel.NEQ0),
-    Shape.E_R: (Field.R, NormalForm.DNF, Rel.NEQ0),
-    Shape.Ed_R: (Field.R, NormalForm.CNF, Rel.GT0),
-    Shape.AE_R: (Field.R, NormalForm.CNF, Rel.GT0),
-    Shape.E3d_Q: (Field.Q, NormalForm.CNF, Rel.GT0),
-    Shape.AE3_Q: (Field.Q, NormalForm.CNF, Rel.GT0),
-}
 
 
 def matrix_for(shape, phi_text=None, seed=None, **params):
@@ -110,6 +104,50 @@ def test_output_field_per_shape():
     assert build_for_shape(Shape.E3d_Q, matrix_for(Shape.E3d_Q, phi_text="y > 0")).field is Field.Q
 
 
+def test_a_construction_lives_in_its_matrix_ring():
+    for shape, (fld, kind, ineq) in SHAPE_SETUPS.items():
+        for text in (CROSS_NEQ if ineq is Rel.NEQ0 else CROSS_ORDER, "true"):
+            phi = parse(text, fld)
+            m = to_dnf(phi) if kind is NormalForm.DNF else to_cnf(phi)
+            built = build_for_shape(shape, m)
+            if m.ring is not None:
+                assert built.ring is m.ring, shape
+            for qe in (built, compile_formula(phi, shape, fld), from_json(to_json(built))):
+                assert qe.ring is qe.provenance.ring, (shape, text)
+                factors = [qe.guard, *(f for a in qe.addends for f in a)]
+                assert all(f.ring is qe.ring for f in factors), (shape, text)
+
+
+def test_a_formula_parsed_into_a_construction_ring_keeps_its_names_free():
+    m = to_dnf(parse("x = 0", Field.C))
+    build_for_shape(Shape.EA_C, m)
+    with pytest.raises(VariableCollisionError):
+        parse("a = 0", Field.C, m.ring)
+    qe = build_for_shape(Shape.EA_C, to_dnf(parse(r"x != 0 \/ y = 0", Field.C, m.ring)))
+    assert qe.prefix == (("exists", "a"), ("forall", "b")) and qe.free_names() == ("x", "y")
+
+
+def test_real_shapes_from_a_rational_matrix_state_r():
+    """Ed_R and AE_R built from a Q-tagged matrix keep its ring, whose
+    scalars are R's, and state the field R."""
+    rng = random.Random(34)
+    for shape in (Shape.Ed_R, Shape.AE_R):
+        by_field = {
+            fld: build_for_shape(shape, to_cnf(parse(CROSS_ORDER, fld)))
+            for fld in (Field.Q, Field.R)
+        }
+        qe = by_field[Field.Q]
+        assert qe.field is Field.R and qe.ring.field is Field.Q, shape
+        text = to_json(qe)
+        assert json.loads(text)["field"] == "R"
+        back = from_json(text)
+        assert back.construction() is back and back.field is Field.R, shape
+        decide = decider_for_shape(shape)
+        for _ in range(16):
+            pt = {n: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for n in ("y", "z")}
+            assert decide(qe, pt) == decide(back, pt) == decide(by_field[Field.R], pt), (shape, pt)
+
+
 def test_wrong_matrix_kind_rejected():
     dnf = matrix_for(Shape.EA_C, phi_text="y != 0")
     with pytest.raises(WrongKindError):
@@ -145,11 +183,39 @@ def test_incompatible_field_rejected():
         build_for_shape(Shape.E3d_Q, cnf_c)
 
 
+RENAMED_APART = [
+    # shape, formula, its quantifier names: a free variable named like one
+    # of them suffixes every one with the smallest _k that clears them all
+    (Shape.EA_C, r"a = 0 \/ x != 0", ("a_1", "b_1")),
+    (Shape.AE_C, r"(b_1 = 0 \/ b != 0) /\ a_2 != 0", ("a_3", "b_3")),
+    (Shape.E_R, r"r != 0 \/ y = 0", ("r_1",)),
+    (Shape.Ed_R, r"r1 > 0 /\ (y = 0 \/ r2 > 0)", ("r1_1", "r2_1")),
+    (Shape.Ed_R, "r2 > 0", ("r1",)),
+    (Shape.AE_R, r"s > 0 \/ y = 0", ("r_1", "s_1")),
+    (Shape.E3d_Q, "v3 > 0", ("v1_1", "v2_1", "v3_1")),
+    (Shape.AE3_Q, r"w2 > 0 \/ v = 0", ("v_1", "w1_1", "w2_1", "w3_1")),
+]
+
+
 def test_reserved_name_collision():
-    with pytest.raises(VariableCollisionError):
-        build_for_shape(Shape.EA_C, to_dnf(parse("a = 0", Field.C)))
-    with pytest.raises(VariableCollisionError):
-        build_for_shape(Shape.AE_R, to_cnf(parse("s > 0", Field.R)))
+    rng = random.Random(32)
+    for shape, text, names in RENAMED_APART:
+        fld, kind, _ = SHAPE_SETUPS[shape]
+        phi = parse(text, fld)
+        qe = build_for_shape(shape, to_dnf(phi) if kind is NormalForm.DNF else to_cnf(phi))
+        assert qe.quantified_names() == names, shape
+        assert set(names).isdisjoint(qe.free_names()), shape
+        head = "\\, ".join(f"\\{q} {n}" for q, n in qe.prefix)
+        assert to_latex(qe).startswith(head + "\\; "), shape
+        back = from_json(to_json(qe))
+        assert back.construction() is back and back.prefix == qe.prefix, shape
+        decide = decider_for_shape(shape)
+        for _ in range(12):
+            pt = {n: Fraction(rng.randint(-2, 2)) for n in qe.free_names()}
+            if fld is Field.C:
+                pt = {n: gaussian(v, rng.randint(-1, 1)) for n, v in pt.items()}
+            want = eval_formula(phi, pt)
+            assert decide(qe, pt) == decide(back, pt) == want, (shape, pt)
 
 
 def test_true_and_false_degenerate_per_shape():
