@@ -64,6 +64,9 @@ EXIT_UNRESOLVED = 5
 EXIT_SHAPE = 6
 EXIT_DISAGREE = 7
 
+# the most points a plot grid may have per axis: a 1/256 step over -2:2
+MAX_GRID_POINTS = 1025
+
 # the shape each form builds over each field it is defined for; the shape's
 # spec says which normal form to take and whether != becomes order literals
 _FORM_SHAPE = {
@@ -160,6 +163,8 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
         raise ValueError("grid step must be positive")
     if lo > hi:
         raise ValueError("grid lo must not exceed hi")
+    if (hi - lo) // step + 1 > MAX_GRID_POINTS:
+        raise SizeLimitError(f"grid has more than {MAX_GRID_POINTS} points per axis")
     return lo, hi, step
 
 

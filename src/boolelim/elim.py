@@ -22,9 +22,9 @@ gadget 1 - s*u*W: its base W, its scales s, the exists values that zero it
 for a literal value u and the zero block of a clause satisfied by an
 equation; the CNF constructions, witness extraction and the deciders read it.
 _node_product is the one product over the nodes 1..d, behind the selectors,
-the guard, the off-node witness and the degree report. Quantified names are
-spelled out only in _BUILDERS, suffixed _k where one is a free variable;
-everything else reads them from the prefix. A construction lives in its
+the guard and the off-node witness. Quantified names are spelled out only
+in _BUILDERS, suffixed _k where one is a free variable; everything else
+reads them from the prefix. A construction lives in its
 clause matrix's ring, using the literal terms as the t_ij and u_ik; its
 field is the statement's: C for EA_C and AE_C, the matrix's for E_R, R for
 Ed_R and AE_R, Q for E3d_Q and AE3_Q.
@@ -49,7 +49,7 @@ import enum
 import json
 import math
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -86,7 +86,6 @@ from .poly import (
     MultiPoly,
     PolyRing,
     TermBudget,
-    as_univariate,
     render_poly,
     render_poly_latex,
 )
@@ -549,64 +548,42 @@ class DegreeReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "shape": self.shape.value,
-            "degrees": dict(self.degrees),
-            "bounds": dict(self.bounds),
-            "exact": dict(self.exact),
-            "counts": dict(self.counts),
-            "satisfied": self.satisfied,
-        }
-
-
-def _selector_coeff_rows(d: int) -> list[list[Fraction]]:
-    """Row i-1: coefficients of prod_{h != i}(z - h) by ascending power."""
-    z = PolyRing(Field.Q).var("z")
-    return [as_univariate(_node_product(z, d, skip=i), "z").scalars() for i in range(1, d + 1)]
+        return {**asdict(self), "shape": self.shape.value}
 
 
 def _universal_degree(qe: QuantifiedEquation, zu: str) -> int:
-    """Exact degree in the forall variable of the selector sum.
+    """Exact degree in the forall variable of the selector sum
+    sum_i sel_i(z) * A_i, A_i being addend i after its selector.
 
-    Each summand is sel_i(z) * A_i with A_i free of z, so the coefficient of
-    z^m is a known rational combination of the A_i. The selectors are a
-    basis of the polynomials of degree < d and every A_i is a nonzero
-    product once constants are folded, so the sum is not zero: when the
-    coefficients of z^(d-1) .. z^1 vanish, the constant one does not. Random
-    evaluation certifies a nonzero coefficient cheaply; only when sampling
-    keeps returning zero is the combination expanded exactly, within one
-    TermBudget.
+    With P(z) = prod_h (z - h) = sum_j p_j z^(d-j), sel_i = P/(z - i), so the
+    coefficient of z^(d-1-k) in the sum is M_k + sum_{j=1..k} p_j * M_(k-j)
+    for the selector moments M_k = sum_i i^k * A_i. That relation is unit
+    triangular: the degree is d - 1 - k at the first nonzero M_k, and 0 when
+    M_0 .. M_(d-2) all vanish. Up to 8 seeded random points, drawn lazily and
+    shared by every k, certify a nonzero moment cheaply; only when all of
+    them read zero is M_k expanded exactly, within one TermBudget.
     """
     d = len(qe.addends)
-    tails = [addend[1:] for addend in qe.addends]  # the A_i, after the selectors
-    rows = _selector_coeff_rows(d)
+    tails = [addend[1:] for addend in qe.addends]
     ring = qe.ring
     names = [v.name for v in ring.table.all_vars() if v.name != zu]
     rng = random.Random(9173)
+    samples: list[list] = []  # the A_i at each point drawn so far
     expanded: list[MultiPoly] | None = None
     times = TermBudget(f"the exact degree check of the {qe.shape.value} selector sum").times
-    for m in range(d - 1, 0, -1):
-        sigma = [rows[i][m] if m < len(rows[i]) else Fraction(0) for i in range(d)]
-        for _ in range(8):
-            point = {nm: Fraction(rng.randint(-17, 17)) for nm in names}
-            val = ring.scalar(0)
-            for i in range(d):
-                if not sigma[i]:
-                    continue
-                acc = ring.scalar(sigma[i])
-                for f in tails[i]:
-                    acc = acc * f.evaluate(point)
-                val = val + acc
-            if val:
-                return m
+    for k in range(d - 1):
+        for s in range(8):
+            if s == len(samples):
+                point = {nm: Fraction(rng.randint(-17, 17)) for nm in names}
+                samples.append(
+                    [reduce(mul, (f.evaluate(point) for f in t), ring.scalar(1)) for t in tails]
+                )
+            if sum(i**k * a for i, a in enumerate(samples[s], start=1)):
+                return d - 1 - k
         if expanded is None:
             expanded = [reduce(times, tail, ring.one) for tail in tails]
-        coeff = ring.zero
-        for i in range(d):
-            if sigma[i]:
-                coeff = coeff + times(expanded[i], ring.const(sigma[i]))
-        if not coeff.is_zero():
-            return m
+        if not sum((times(a, i**k) for i, a in enumerate(expanded, start=1)), ring.zero).is_zero():
+            return d - 1 - k
     return 0
 
 
@@ -713,10 +690,8 @@ def _first_true_clause(m: ClauseMatrix, x: Mapping) -> int | None:
 
 
 def _inv_u_product(m: ClauseMatrix, i: int, x: Mapping):
-    """1/prod_k u_ik(x) in the ring's scalars; the empty clause of a constant
-    true formula, which names no field, takes the rational 1."""
-    unit = m.ring.scalar(1) if m.clauses[i] else Fraction(1)
-    return 1 / reduce(mul, (atom.term.evaluate(x) for atom in m.ineqs(i)), unit)
+    """1/prod_k u_ik(x) in the ring's scalars."""
+    return 1 / reduce(mul, (atom.term.evaluate(x) for atom in m.ineqs(i)), m.ring.scalar(1))
 
 
 def _clause_block(m: ClauseMatrix, i: int, x: Mapping, gadget: Gadget) -> tuple:
@@ -857,7 +832,10 @@ def to_latex(qe: QuantifiedEquation) -> str:
             f"\\Big[{render_poly_latex(f, names)}\\Big]" for a in qe.addends for f in a
         ) or "1"
     else:
-        parts = ["".join(_latex_factor(f, names) for f in a) or "1" for a in qe.addends]
+        parts = [
+            "".join(_latex_factor(f, names) for f in a if not _is_unit(f)) or "1"
+            for a in qe.addends
+        ]
         if qe.power == 2:
             parts = [f"\\Big[{p}\\Big]^2" for p in parts]
         body = " + ".join(parts) or "0"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from boolelim.cli import (
     _parse_point,
     main,
 )
+from boolelim.errors import SizeLimitError
 from boolelim.exactnum import gaussian
 from boolelim.fixtures import CROSS_NEQ, CROSS_ORDER
 from boolelim.poly import Field
@@ -81,6 +83,19 @@ def test_eliminate_latex(tmp_path):
     )
     assert code == EXIT_OK
     assert got.startswith("\\exists a")
+
+
+@pytest.mark.parametrize("fld,text,body", [
+    ("r", "y > 0 \\/ z = 0", "\\Big[-r s + s + 1\\Big]\\Big[z(-s^{2} y + 1)\\Big]"),
+    ("c", "y != 0", "\\Big[-a b + b + 1\\Big]\\Big[(-b y + 1)\\Big]"),
+])
+def test_latex_leaves_out_the_unit_selector_of_one_clause(tmp_path, fld, text, body):
+    f = write(tmp_path, "f.txt", text)
+    code, got = run(
+        ["eliminate", "--field", fld, "--form", "ae", "--input", f, "--output", "latex"]
+    )
+    assert code == EXIT_OK
+    assert got.splitlines()[0].endswith(f"\\; {body} = 0")
 
 
 def test_eliminate_rejects_wrong_field_for_form(tmp_path):
@@ -248,6 +263,19 @@ def test_plot_fixture_csv():
     assert rows[("1/2", "1/2")] == "1"
 
 
+def test_plot_refuses_a_huge_grid_at_once():
+    t0 = time.perf_counter()
+    code, got = run(["plot", "--fixture", "quadrant", "--grid=0:1e300:1"])
+    assert (code, got) == (EXIT_SIZE, "")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_plot_readme_grid_prints_17_by_17_rows():
+    code, got = run(["plot", "--fixture", "quadrant", "--grid=-2:2:1/4"])
+    assert code == EXIT_OK
+    assert len(got.splitlines()) == 1 + 17 * 17
+
+
 def test_plot_agrees_between_fixture_variants():
     _, a = run(["plot", "--fixture", "quadrant", "--grid=-1:1:1/2"])
     _, b = run(["plot", "--fixture", "quadrant-raw", "--grid=-1:1:1/2"])
@@ -294,6 +322,9 @@ def test_parse_point_and_grid():
         _parse_grid("2:1:1")
     with pytest.raises(ValueError):
         _parse_grid("0:1:0")
+    assert _parse_grid("-2:2:1/256")[2] == Fraction(1, 256)
+    with pytest.raises(SizeLimitError):
+        _parse_grid("-2:2:1/257")
 
 
 def test_decide_reads_the_whole_eliminate_payload(tmp_path):

@@ -1,12 +1,14 @@
 """An equation that build_for_shape returns is its own construction, and so
 is a loaded one, which from_json rebuilds from its provenance once. Builder
 calls are counted by wrapping the entries of elim._BUILDERS. Also here: constant
-literals folded before construction, and the degree report's forall-degree
-claim when the clause products cancel."""
+literals folded before construction, the degree report's forall-degree
+claim when the clause products cancel, and its measured degrees against the
+expanded equations."""
 
 import dataclasses
 import io
 import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +18,15 @@ import pytest
 from boolelim import elim
 from boolelim.cli import main
 from boolelim.decide import SamplePlan, decider_for_shape, refute_ae
-from boolelim.elim import SHAPE_SPECS, Shape, build_for_shape, from_json, to_json
+from boolelim.elim import (
+    SHAPE_SPECS,
+    Shape,
+    build_for_shape,
+    compile_formula,
+    degree_report,
+    from_json,
+    to_json,
+)
 from boolelim.errors import ShapeUnsupportedError
 from boolelim.fixtures import CROSS_NEQ, CROSS_ORDER
 from boolelim.formula import (
@@ -30,6 +40,7 @@ from boolelim.formula import (
     to_dnf,
 )
 from boolelim.poly import Field, PolyRing
+from oracles import SHAPE_SETUPS
 
 STRUCTURED = [
     (Shape.Ed_R, Field.R, CROSS_ORDER),
@@ -220,3 +231,49 @@ def test_cancelling_clause_products_keep_the_report_satisfied(text, field, form,
     assert rep["satisfied"] is True
     assert rep["bounds"][zu] == 2 * d - 1 and rep["exact"][zu] is False
     assert rep["degrees"][zu] < 2 * d - 1
+
+
+@pytest.mark.parametrize("text,degree", [
+    ("2*x*y = 0 /\\ -3*x*y = 0 /\\ (x = 0 \\/ y = 0)", 4),
+    ("(x = 0 \\/ y = 0) /\\ -2*x*y = 0 /\\ x*y = 0", 3),
+])
+def test_forall_degree_of_cancelling_selector_moments(text, degree):
+    """Clause products x*y times 2, -3, 1 and 1, -2, 1: the moment
+    sum_i A_i is zero in both, sum_i i*A_i only in the second, whose
+    selector sum is then a constant."""
+    qe = compile_formula(parse(text, Field.C), Shape.AE_C, Field.C)
+    rep = degree_report(qe)
+    assert rep.degrees["a"] == degree == qe.equation.degree_in("a")
+    assert (rep.bounds["a"], rep.exact["a"], rep.satisfied) == (5, False, True)
+
+
+def _small_matrix(rng, shape):
+    """d <= 3 clauses over x, y, each one literal of either kind or one of
+    both, every term c*m + c0 for a monomial m and small integers c != 0, c0."""
+    fld, kind, ineq = SHAPE_SETUPS[shape]
+    ring = PolyRing(fld)
+    x, y = ring.var("x"), ring.var("y")
+    monomials = [x, y, x * y, y * y]
+
+    def term():
+        return rng.choice((1, -1, 2, -3)) * rng.choice(monomials) + rng.randint(-2, 2)
+
+    rels = [(Rel.EQ0,), (ineq,), (Rel.EQ0, ineq)]
+    clauses = tuple(
+        tuple(Atom(term(), rel) for rel in rng.choice(rels)) for _ in range(rng.randint(1, 3))
+    )
+    return ClauseMatrix(kind, clauses, ring)
+
+
+def test_measured_degrees_equal_the_expanded_equations():
+    rng = random.Random(20)
+    checked = 0
+    for shape in Shape:
+        for _ in range(40):
+            qe = build_for_shape(shape, _small_matrix(rng, shape))
+            rep = degree_report(qe)
+            assert rep.satisfied, shape
+            for z in qe.quantified_names():
+                assert rep.degrees[z] == max(qe.equation.degree_in(z), 0), (shape, z)
+                checked += 1
+    assert checked > 500
