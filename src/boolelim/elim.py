@@ -813,11 +813,23 @@ def from_json(text: str) -> QuantifiedEquation:
 _QUANT_TEX = {"exists": "\\exists", "forall": "\\forall"}
 
 
-def _latex_factor(p: MultiPoly, names) -> str:
-    body = render_poly_latex(p, names)
-    if len(p.terms) > 1:
-        return f"({body})"
-    return body
+def _latex_product(factors, names) -> str:
+    """The factors side by side. A factor of several terms, or of one term
+    that starts with a sign or a digit, is parenthesized, and two adjacent
+    one-term factors stand apart by a thin space, so no sign reads as a
+    subtraction and no two variables as one word."""
+    out = []
+    after_single = False
+    for f in factors:
+        body = render_poly_latex(f, names)
+        single = len(f.terms) == 1
+        if after_single and single:
+            out.append("\\,")
+        if not single or body[0] == "-" or body[0].isdigit():
+            body = f"({body})"
+        out.append(body)
+        after_single = single
+    return "".join(out)
 
 
 def to_latex(qe: QuantifiedEquation) -> str:
@@ -833,7 +845,7 @@ def to_latex(qe: QuantifiedEquation) -> str:
         ) or "1"
     else:
         parts = [
-            "".join(_latex_factor(f, names) for f in a if not _is_unit(f)) or "1"
+            _latex_product([f for f in a if not _is_unit(f)], names) or "1"
             for a in qe.addends
         ]
         if qe.power == 2:

@@ -9,6 +9,13 @@ what the golden files and the JSON round-trip rely on. Text and LaTeX are one
 term walk; a small style record says how each spells numbers, the imaginary
 unit, mixed Gaussians, products and powers.
 
+Products and powers go through one integer kernel. A one-term operand
+scales and shifts the other's terms; otherwise each operand is cleared to
+integer numerators (Gaussian integer pairs over C) over one denominator, its
+monomials are packed into one int each with a field per variable as wide as
+the largest exponent sum needs, and the numerators accumulate as ints, so a
+field scalar is built once per output term.
+
 Evaluation and substitution are one term walk that multiplies each bound
 variable's power into the coefficient. Both coerce an int, Fraction or
 GaussianRational value into the ring's scalars (so a real Gaussian becomes a
@@ -202,6 +209,90 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(out.items()))
 
 
+def _product(fld: Field, a: dict, b: dict) -> dict:
+    """The terms of the product of the term dicts a and b. A one-term
+    operand scales and shifts the other's terms, which stay distinct and
+    nonzero. Otherwise each operand is cleared to integer numerators over
+    one denominator, Gaussian integer pairs over C, and each monomial is
+    packed into one int, a field per variable index wide enough for the
+    largest exponent sum, so a monomial product is one int addition. The
+    numerators accumulate as ints; a field scalar is built once per output
+    term, and a term that cancels is left out."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= 1:
+        if not a:
+            return {}
+        ((m1, c1),) = a.items()
+        if not m1:
+            return {m: c1 * c for m, c in b.items()}
+        return {_mono_mul(m1, m): c1 * c for m, c in b.items()}
+    width = (max(e for m in a for _, e in m) + max(e for m in b for _, e in m)).bit_length()
+    gauss = fld is Field.C
+    da, ta = _packed(a, width, gauss)
+    db, tb = _packed(b, width, gauss)
+    den = da * db
+    acc: dict = {}
+    get = acc.get
+    if not gauss:
+        for ka, ca in ta:
+            for kb, cb in tb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        return {_unpacked(k, width): Fraction(n, den) for k, n in acc.items() if n}
+    imag: dict = {}
+    iget = imag.get
+    for ka, (ar, ai) in ta:
+        for kb, (br, bi) in tb:
+            k = ka + kb
+            acc[k] = get(k, 0) + ar * br - ai * bi
+            imag[k] = iget(k, 0) + ar * bi + ai * br
+    return {
+        _unpacked(k, width): GaussianRational(Fraction(n, den), Fraction(imag[k], den))
+        for k, n in acc.items()
+        if n or imag[k]
+    }
+
+
+def _packed(t: dict, width: int, gauss: bool) -> tuple[int, list]:
+    """(den, [(packed monomial, numerator)]) with each coefficient of t its
+    numerator over den, an (re, im) pair over C; variable i's exponent sits
+    at bit i * width of the packed monomial."""
+    den, nums = _integers(list(t.values()), gauss)
+    keys = []
+    for m in t:
+        k = 0
+        for i, e in m:
+            k += e << i * width
+        keys.append(k)
+    return den, list(zip(keys, nums))
+
+
+def _unpacked(k: int, width: int) -> Mono:
+    mask = (1 << width) - 1
+    m = []
+    i = 0
+    while k:
+        e = k & mask
+        if e:
+            m.append((i, e))
+        k >>= width
+        i += 1
+    return tuple(m)
+
+
+def _integers(cs: list, gauss: bool) -> tuple[int, list]:
+    """(den, nums) with cs[j] = nums[j] / den and den the lcm of every
+    denominator, both parts' over C: nums[j] is an int, or an (re, im) pair
+    of ints for Gaussian scalars."""
+    if gauss:
+        den, parts = _integers([x for c in cs for x in (c.re, c.im)], False)
+        return den, list(zip(parts[::2], parts[1::2]))
+    dens = [c.denominator for c in cs]
+    den = math.lcm(*dens)
+    return den, [c.numerator * (den // d) for c, d in zip(cs, dens)]
+
+
 def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
@@ -305,22 +396,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        a, b = self.terms, o.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly(self.ring, _product(self.ring.field, self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -628,19 +704,12 @@ def _strim(c: list) -> list:
     return c
 
 
-def _integers(cs: list) -> list[int]:
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs]
-
-
 def _cleared(view: UniView) -> list:
     """The view's scalars times the lcm of their denominators: ints over R
     and Q, Gaussian integers over C."""
-    cs = view.scalars()
-    if view.ring.field is not Field.C:
-        return _integers(cs)
-    parts = _integers([x for c in cs for x in (c.re, c.im)])
-    return [_GaussInt(parts[j], parts[j + 1]) for j in range(0, len(parts), 2)]
+    gauss = view.ring.field is Field.C
+    nums = _integers(view.scalars(), gauss)[1]
+    return [_GaussInt(*z) for z in nums] if gauss else nums
 
 
 def _primitive(c: list) -> list:

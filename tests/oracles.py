@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 The real-root scanner works from plain coefficient lists with Fraction
-arithmetic and shares no code with the package. The true-instance generator
-builds clause matrices around a preselected point so the expected truth
-value is known by construction.
+arithmetic and shares no code with the package, and so does the schoolbook
+product of multivariate polynomials given as exponent-tuple dicts. The
+true-instance generator builds clause matrices around a preselected point so
+the expected truth value is known by construction.
 """
 
 from __future__ import annotations
@@ -30,6 +31,39 @@ def shape_setup(shape: Shape) -> tuple:
 
 
 SHAPE_SETUPS = {shape: shape_setup(shape) for shape in Shape}
+
+
+# -- schoolbook multivariate product ---------------------------------------------
+
+
+def _coeff_times(x, y):
+    if isinstance(x, tuple):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    return x * y
+
+
+def _coeff_plus(x, y):
+    if isinstance(x, tuple):
+        return (x[0] + y[0], x[1] + y[1])
+    return x + y
+
+
+def _coeff_nonzero(x) -> bool:
+    return any(x) if isinstance(x, tuple) else x != 0
+
+
+def schoolbook_product(p: dict, q: dict) -> dict:
+    """p * q for polynomials as {exponent tuple: coefficient} dicts, every
+    tuple of one length, one exponent per variable: one coefficient product
+    per pair of terms, and a sum that comes to zero is dropped. Coefficients
+    are Fractions, or (re, im) pairs of Fractions over Q(i)."""
+    out: dict = {}
+    for ep, cp in p.items():
+        for eq, cq in q.items():
+            e = tuple(a + b for a, b in zip(ep, eq))
+            c = _coeff_times(cp, cq)
+            out[e] = _coeff_plus(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if _coeff_nonzero(c)}
 
 
 # -- grid-plus-Cauchy-bound real root scanner -----------------------------------

@@ -98,6 +98,23 @@ def test_latex_leaves_out_the_unit_selector_of_one_clause(tmp_path, fld, text, b
     assert got.splitlines()[0].endswith(f"\\; {body} = 0")
 
 
+@pytest.mark.parametrize("text,pieces", [
+    ("2*x*y = 0 /\\ -3*x*y = 0 /\\ (x = 0 \\/ y = 0)",
+     ["(a^{2} - 5 a + 6)(2 x y) + ", "(a^{2} - 4 a + 3)(-3 x y) + ", "(a^{2} - 3 a + 2)x\\,y\\Big]"]),
+    ("x = 0 /\\ 0 = x", ["\\Big[(a - 2)x + (a - 1)(-x)\\Big]"]),
+])
+def test_latex_sets_one_term_factors_apart(tmp_path, text, pieces):
+    # a one-term factor that starts with a sign or a digit is parenthesized,
+    # and two one-term factors side by side stand apart by a thin space
+    f = write(tmp_path, "f.txt", text)
+    code, got = run(
+        ["eliminate", "--field", "c", "--form", "ae", "--input", f, "--output", "latex"]
+    )
+    assert code == EXIT_OK
+    for piece in pieces:
+        assert piece in got
+
+
 def test_eliminate_rejects_wrong_field_for_form(tmp_path):
     f = write(tmp_path, "f.txt", "y = 0")
     assert run(["eliminate", "--field", "r", "--form", "ea", "--input", f])[0] == EXIT_INCOMPATIBLE
