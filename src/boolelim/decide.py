@@ -255,7 +255,8 @@ def _decide(shape: Shape, qe: QuantifiedEquation, x: Mapping) -> bool:
 
 def has_real_root(qe: QuantifiedEquation, x: Mapping) -> bool:
     """Whether p(r, x) = 0 has a real root r: whether some factor has one,
-    by Sturm root counting."""
+    by Sturm root counting. A point that names r is refused."""
+    _require_free(qe, x)
     _require_prefix(qe, ("exists",))
     return _every_block_vanishes(qe, x)
 
@@ -336,7 +337,17 @@ def check_witness(qe: QuantifiedEquation, x: Mapping, assignment: Mapping) -> bo
     exactly zero. qe.vanishes_at answers both without multiplying a product
     out. A SqrtValue witness needs every quantified variable bound; it is
     checked by its square, after the rest of the point has collected like
-    terms, and an odd power of an irrational root raises ValueError."""
+    terms, and an odd power of an irrational root raises ValueError. The
+    assignment may name only quantified variables the point leaves unbound;
+    the forall value may come in either."""
+    extra = assignment.keys() - set(qe.quantified_names())
+    if extra:
+        raise UnexpectedVariablesError(
+            f"the assignment names unquantified variables {sorted(extra)}"
+        )
+    rebound = assignment.keys() & x.keys()
+    if rebound:
+        raise UnexpectedVariablesError(f"the assignment rebinds point variables {sorted(rebound)}")
     exists_names = {n for q, n in qe.prefix if q == "exists"}
     missing = exists_names - set(assignment)
     if missing:

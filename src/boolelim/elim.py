@@ -379,32 +379,35 @@ def _fresh(m: ClauseMatrix, names) -> list:
     return out
 
 
-def _u_product(m: ClauseMatrix, i: int) -> MultiPoly:
-    return reduce(mul, (atom.term for atom in m.ineqs(i)), m.ring.one)
+def _u_product(m: ClauseMatrix, i: int, times: Callable) -> MultiPoly:
+    return reduce(times, (atom.term for atom in m.ineqs(i)), m.ring.one)
 
 
-def _clause_factors(m: ClauseMatrix, i: int, fld: Field, w: MultiPoly) -> tuple:
+def _clause_factors(m: ClauseMatrix, i: int, fld: Field, w: MultiPoly, times: Callable) -> tuple:
     """Clause i as factors: its equation terms, then the field's gadgets
     1 - s*u*w per inequation or order term u."""
     parts = [atom.term for atom in m.eqs(i)]
     for atom in m.ineqs(i):
-        uw = atom.term * w
+        uw = times(atom.term, w)
         parts.extend(m.ring.one - s * uw for s in GADGETS[fld].scales)
     return tuple(parts)
 
 
 # -- the constructions: each returns (field, prefix, guard, addends) -----------
+# Each charges one TermBudget with every product of a literal's term; the
+# selector products are not charged.
 
 
 def _build_ea_c(m: ClauseMatrix, a_name: str, b_name: str) -> tuple:
     ring = m.ring
     a = ring.quantified(a_name)
     b = ring.quantified(b_name)
+    times = TermBudget("building the construction").times
     factors = []
     for i in range(m.d):
-        f = ring.one - a * _u_product(m, i)
+        f = ring.one - times(a, _u_product(m, i, times))
         for j, atom in enumerate(m.eqs(i), start=1):
-            f = f + atom.term * b**j
+            f = f + times(atom.term, b**j)
         factors.append(f)
     return Field.C, (("exists", a_name), ("forall", b_name)), None, (tuple(factors),)
 
@@ -412,12 +415,13 @@ def _build_ea_c(m: ClauseMatrix, a_name: str, b_name: str) -> tuple:
 def _build_e_r(m: ClauseMatrix, r_name: str) -> tuple:
     ring = m.ring
     r = ring.quantified(r_name)
+    times = TermBudget("building the construction").times
     factors = []
     for i in range(m.d):
-        gadget = ring.one - r * _u_product(m, i)
-        f = gadget * gadget
+        gadget = ring.one - times(r, _u_product(m, i, times))
+        f = times(gadget, gadget)
         for atom in m.eqs(i):
-            f = f + atom.term * atom.term
+            f = f + times(atom.term, atom.term)
         factors.append(f)
     return ring.field, (("exists", r_name),), None, (tuple(factors),)
 
@@ -428,10 +432,11 @@ def _build_brackets(m: ClauseMatrix, fld: Field, names: list) -> tuple:
     these are r_i, whose square-root witnesses live in R whether the matrix
     was tagged R or Q."""
     k = len(GADGETS[fld].zero)
+    times = TermBudget("building the construction").times
     addends = []
     for i in range(m.d):
         ys = [m.ring.quantified(n) for n in names[k * i : k * i + k]]
-        addends.append(_clause_factors(m, i, fld, GADGETS[fld].base(ys)))
+        addends.append(_clause_factors(m, i, fld, GADGETS[fld].base(ys), times))
     return fld, tuple(("exists", n) for n in names), None, addends
 
 
@@ -446,8 +451,9 @@ def _build_guarded(m: ClauseMatrix, fld: Field, names: list) -> tuple:
     w = GADGETS[fld].base(ys)
     d = m.d
     guard = ring.one - ys[0] * _node_product(z, d)
+    times = TermBudget("building the construction").times
     addends = [
-        (lagrange_selector(i, d, z), *_clause_factors(m, i - 1, fld, w))
+        (lagrange_selector(i, d, z), *_clause_factors(m, i - 1, fld, w, times))
         for i in range(1, d + 1)
     ]
     prefix = (("forall", univ), *(("exists", n) for n in exists))

@@ -13,11 +13,11 @@ Every relation is normalized to a constraint against zero: p REL q becomes
 (p - q) REL 0, and the order sugar resolves at parse time (t >= 0 becomes
 t > 0 \\/ t = 0, t < 0 becomes -t > 0, t <= 0 becomes -t > 0 \\/ t = 0).
 Order relations are rejected over the complex field. Over C the identifier
-"i" denotes the imaginary unit. A product chain or power that would multiply
-out more than MAX_TERM_PRODUCTS term products, a power counted as the
-repeated squaring that computes it, is refused with SizeLimitError before it
-is multiplied out, and so is nesting deeper than MAX_NESTING_DEPTH
-parentheses, negations and signs.
+"i" denotes the imaginary unit. A product chain or power charges one
+TermBudget per product as it multiplies, a power each product of the
+repeated squaring that computes it, and is refused with SizeLimitError
+before the product that would pass MAX_TERM_PRODUCTS term products; so is
+nesting deeper than MAX_NESTING_DEPTH parentheses, negations and signs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     VariableCollisionError,
 )
 from .exactnum import IMAG_UNIT, GaussianRational
-from .poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing, TermBudget
+from .poly import MAX_NESTING_DEPTH, Field, MultiPoly, PolyRing, TermBudget, power
 
 DEFAULT_CLAUSE_LIMIT = 4096
 
@@ -352,9 +352,7 @@ class _Parser:
         while self.peek().kind == "CARET":
             t = self.advance()
             e = int(self.expect("NUM", "a nonnegative integer exponent").text)
-            budget = TermBudget(f"the power at position {t.pos}")
-            budget.spend(_squaring_products(len(base.terms), e))
-            base = base**e
+            base = power(base, e, TermBudget(f"the power at position {t.pos}").times)
         return base
 
     def base(self) -> MultiPoly:
@@ -377,38 +375,6 @@ class _Parser:
             self.expect("RPAREN", "')'")
             return node
         raise FormulaSyntaxError(t.pos, "a variable, number, or '('", t.text or "end of input")
-
-
-def _terms_bound(n: int, k: int) -> int:
-    """C(k + n - 1, n - 1), the most terms the k-th power of an n-term
-    polynomial has, built up only until it passes MAX_TERM_PRODUCTS. Taken
-    over the smaller of k and n - 1, each step at least doubles it, so that
-    takes a bounded number of steps."""
-    m, j = k + n - 1, min(k, n - 1)
-    c = 1
-    for i in range(1, j + 1):
-        c = c * (m - j + i) // i
-        if c > MAX_TERM_PRODUCTS:
-            break
-    return c
-
-
-def _squaring_products(n: int, e: int) -> int:
-    """The term products MultiPoly.__pow__ performs on an n-term polynomial:
-    per bit of e, out * base when the bit is set and base * base while higher
-    bits remain, with out = p^o and base = p^b of at most _terms_bound terms
-    each. Counting stops once it passes MAX_TERM_PRODUCTS."""
-    spent, o, b = 0, 0, 1
-    while e and spent <= MAX_TERM_PRODUCTS:
-        tb = _terms_bound(n, b)
-        if e & 1:
-            spent += _terms_bound(n, o) * tb
-            o += b
-        if e > 1:
-            spent += tb * tb
-            b *= 2
-        e >>= 1
-    return spent
 
 
 def parse(text: str, fld: Field, ring: PolyRing | None = None) -> Formula:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -54,9 +55,10 @@ INFINITE = float("inf")
 # a univariate view holds one coefficient per power up to its degree; the
 # constructions stay far below this within the default clause budget
 MAX_UNIVARIATE_DEGREE = 1 << 16
-# the term products one parsed product or power, one expansion of an
-# equation's layout, or one exact degree check of a selector sum may multiply
-# out; parsing a rendered construction multiplies only single terms
+# the term products one parsed product chain or power, one construction, one
+# expansion of an equation's layout, or one exact degree check of a selector
+# sum may multiply out, charged by TermBudget.times before each product;
+# parsing a rendered construction multiplies only single terms
 MAX_TERM_PRODUCTS = 1 << 18
 # the parentheses, negations and signs a parsed formula or term may nest; the
 # parser descends about six frames per level, so a parse at this depth stays
@@ -71,29 +73,43 @@ _UNBOUND = object()  # a variable the bindings leave in the monomial
 
 
 class TermBudget:
-    """The term products one parsed product chain or power, one expansion or
-    one exact degree check has spent against MAX_TERM_PRODUCTS, a scalar
-    counting as one term. Spending past it raises SizeLimitError naming
-    `what`, before the multiplication that would pass it."""
+    """The term products one parsed product chain or power, one construction,
+    one expansion or one exact degree check has spent against
+    MAX_TERM_PRODUCTS, a scalar counting as one term. `times` charges each
+    product before taking it, and raises SizeLimitError naming `what`
+    instead of taking the product that would pass the budget."""
 
     def __init__(self, what: str):
         self.what = what
         self.spent = 0
 
-    def spend(self, count: int) -> None:
-        self.spent += count
+    def times(self, p, q):
+        self.spent += _term_count(p) * _term_count(q)
         if self.spent > MAX_TERM_PRODUCTS:
             raise SizeLimitError(
                 f"{self.what} multiplies out more than {MAX_TERM_PRODUCTS} term products"
             )
-
-    def times(self, p, q):
-        self.spend(_term_count(p) * _term_count(q))
         return p * q
 
 
 def _term_count(v) -> int:
     return len(v.terms) if isinstance(v, MultiPoly) else 1
+
+
+def power(p: MultiPoly, e: int, times: Callable = operator.mul) -> MultiPoly:
+    """p ** e by square-and-multiply, every product taken by times: per bit
+    of e from the lowest, out * p when the bit is set, then p * p while
+    higher bits remain. A TermBudget's times charges each product."""
+    if e < 0:
+        raise ValueError("negative polynomial power")
+    out = p.ring.one
+    while e:
+        if e & 1:
+            out = times(out, p)
+        if e > 1:
+            p = times(p, p)
+        e >>= 1
+    return out
 
 
 class Field(enum.Enum):
@@ -401,16 +417,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        out = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power(self, e)
 
     # -- evaluation and substitution --------------------------------------
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from boolelim.decide import (
     decider_for_shape,
     equivalence_run,
     exists_root_c,
+    has_real_root,
     refute_ae,
 )
 from boolelim.elim import (
@@ -165,6 +167,29 @@ def test_decide_e_r_on_quadrant_fixture():
             assert decider_for_shape(Shape.E_R)(raw, {"y": y, "z": z}) == got
             inside += got
     assert inside == 64
+
+
+def test_has_real_root_refuses_a_point_naming_r():
+    qe = quadrant_fixture()
+    assert has_real_root(qe, {"y": 1, "z": 1})
+    with pytest.raises(UnexpectedVariablesError, match="quantified"):
+        has_real_root(qe, {"y": 1, "z": 1, "r": 5})
+
+
+@pytest.mark.parametrize("equation,want", [("a*y", (True, False)), ("b*a - b*y", (True, True))])
+def test_opaque_forall_exists_without_a_deciding_b_coefficient(equation, want):
+    """a*y has no positive-degree b-coefficient, so it holds where its
+    constant one, a*y, is zero in a: at y = 0 only. b*(a - y) has a zero
+    constant coefficient, so b = 0 is a root for every a."""
+    from boolelim.elim import from_json
+
+    qe = from_json(json.dumps({
+        "field": "C", "prefix": [["forall", "a"], ["exists", "b"]], "vars": ["y"],
+        "equation": equation, "shape": "AE_C", "counts": {},
+    }))
+    assert qe.opaque
+    decide = decider_for_shape(Shape.AE_C)
+    assert (decide(qe, {"y": gaussian(0)}), decide(qe, {"y": gaussian(1)})) == want
 
 
 # -- structured decider guard rails ------------------------------------------------
@@ -352,6 +377,22 @@ def test_check_witness_requires_exists_assignment():
     qe = build_case(GOLDEN_CASES[0])
     with pytest.raises(MissingAssignmentError):
         check_witness(qe, {"y": Fraction(0), "z": Fraction(3)}, {})
+
+
+def test_check_witness_refuses_an_assignment_that_rebinds_the_point():
+    """The formula is false at y = 1; an assignment setting y = 0 must not
+    make the check read it at y = 0."""
+    qe = build_for_shape(Shape.EA_C, to_dnf(parse("y = 0", Field.C)))
+    assert not decider_for_shape(Shape.EA_C)(qe, {"y": 1})
+    with pytest.raises(UnexpectedVariablesError, match="unquantified"):
+        check_witness(qe, {"y": 1}, {"a": 1, "y": 0})
+    with pytest.raises(UnexpectedVariablesError, match="unquantified"):
+        check_witness(qe, {"y": 0}, {"a": 1, "q": 0})
+    with pytest.raises(UnexpectedVariablesError, match="rebinds"):
+        check_witness(qe, {"y": 0, "b": 3}, {"a": 1, "b": 3})
+    # the forall value may come in either mapping, but not in both
+    assert check_witness(qe, {"y": 0, "b": 3}, {"a": 1})
+    assert check_witness(qe, {"y": 0}, {"a": 1, "b": 3})
 
 
 def test_check_witness_sqrt_values():

@@ -211,6 +211,14 @@ def test_contradictory_clause_dropped():
     assert m.raw_clause_count == 2
 
 
+@pytest.mark.parametrize("text", [r"(x > 0 /\ x = 0) \/ y = 0", r"(x > 0 /\ x < 0) \/ y = 0"])
+def test_clause_with_a_contradictory_order_literal_dropped(text):
+    """t > 0 contradicts t = 0 and -t > 0 in one DNF clause."""
+    m = to_dnf(parse(text, Field.R))
+    assert render_formula(m.as_formula()) == "y = 0"
+    assert (m.d, m.raw_clause_count) == (1, 2)
+
+
 def test_clause_limit_enforced():
     # (a=0 \/ b=0) /\ ... n times -> 2^n DNF clauses
     parts = [rf"(x{i} = 0 \/ y{i} = 0)" for i in range(1, 9)]

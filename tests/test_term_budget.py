@@ -1,7 +1,8 @@
-"""Size budgets: one parsed product or power, and one expansion of an
-equation's layout, may multiply out at most MAX_TERM_PRODUCTS term products,
-checked before each multiplication; a parsed formula or term nests at most
-MAX_NESTING_DEPTH parentheses, negations and signs."""
+"""Size budgets: one parsed product chain or power, one construction, one
+expansion of an equation's layout and one exact degree check may each
+multiply out at most MAX_TERM_PRODUCTS term products, charged before each
+multiplication, a power's products as it squares; a parsed formula or term
+nests at most MAX_NESTING_DEPTH parentheses, negations and signs."""
 
 import io
 import json
@@ -10,10 +11,12 @@ import time
 
 import pytest
 
+from boolelim import poly
 from boolelim.cli import EXIT_PARSE, EXIT_SIZE, main
+from boolelim.elim import Shape, compile_formula
 from boolelim.errors import SizeLimitError
-from boolelim.formula import parse
-from boolelim.poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field
+from boolelim.formula import parse, parse_term
+from boolelim.poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing
 
 
 def test_wide_product_is_refused_before_it_is_multiplied():
@@ -83,6 +86,58 @@ def test_exact_degree_check_past_the_budget_exits_4_at_once(monkeypatch, argv):
     assert time.perf_counter() - t0 < 2.0
 
 
+_LITERALS = r"x1 + y1 + 1 != 0 /\ x2 + y2 + 1 != 0 /\ z + 1 = 0"
+_ORDERS = r"x1 + y1 + 1 > 0 \/ x2 + y2 + 1 > 0 \/ z + 1 = 0"
+
+
+@pytest.mark.parametrize("shape,fld,text,spent", [
+    # u = (x1 + y1 + 1)(x2 + y2 + 1) takes 1*3 + 3*3, a*u 9, (z + 1)*b 2
+    (Shape.EA_C, Field.C, _LITERALS, 23),
+    # u 12, r*u 9, the 10-term gadget squared 100, (z + 1)^2 4
+    (Shape.E_R, Field.R, _LITERALS, 125),
+    # each order term times the gadget base: r_i^2 over R, three squares over Q
+    (Shape.Ed_R, Field.R, _ORDERS, 6),
+    (Shape.E3d_Q, Field.Q, _ORDERS, 18),
+    (Shape.AE_C, Field.C, _ORDERS.replace(">", "!="), 6),
+    (Shape.AE_R, Field.R, _ORDERS, 6),
+    (Shape.AE3_Q, Field.Q, _ORDERS, 18),
+], ids=lambda v: v.value if isinstance(v, Shape) else None)
+def test_construction_charges_its_literal_products(monkeypatch, shape, fld, text, spent):
+    """A construction builds within a budget of exactly the term products of
+    its literals' terms, and not one less; the selectors are not charged."""
+    phi = parse(text, fld)
+    monkeypatch.setattr(poly, "MAX_TERM_PRODUCTS", spent)
+    compile_formula(phi, shape, fld)
+    monkeypatch.setattr(poly, "MAX_TERM_PRODUCTS", spent - 1)
+    with pytest.raises(SizeLimitError, match="building the construction"):
+        compile_formula(phi, shape, fld)
+
+
+def _literal_chain(k: int) -> str:
+    return " /\\ ".join(f"x{j} + y{j} + 1 != 0" for j in range(1, k + 1))
+
+
+@pytest.mark.parametrize("form,field,k,seconds", [
+    ("e", "r", 5, None),
+    ("e", "r", 6, 1.0),
+    ("ea", "c", 12, 3.0),
+])
+def test_construction_past_the_budget_exits_4_at_once(monkeypatch, form, field, k, seconds):
+    """The exists-real gadget 1 - r*u of k three-term literals has 3^k + 1
+    terms and is squared: 244^2 term products fit the budget at k = 5,
+    730^2 do not at k = 6. Over C, u alone takes 3 + 9 + ... + 3^k term
+    products, past the budget from k = 11 on; unbudgeted, each literal
+    past that would triple the time the construction takes."""
+    argv = ["eliminate", "--field", field, "--form", form, "--output", "latex"]
+    t0 = time.perf_counter()
+    code = _cli(monkeypatch, argv, _literal_chain(k))
+    if seconds is None:
+        assert code == 0
+    else:
+        assert code == EXIT_SIZE
+        assert time.perf_counter() - t0 < seconds
+
+
 @pytest.mark.parametrize("text", [
     "(" * 196 + "x = 0" + ")" * 196,
     "~" * 979 + "x = 0",
@@ -106,14 +161,8 @@ def test_deeply_nested_equation_file_is_bad_json(tmp_path):
     assert main(["decide", "--input", str(path), "--point", "y=1"]) == EXIT_PARSE
 
 
-def test_power_budget_counts_the_products_squaring_performs(monkeypatch):
-    """(a + b + c + 1)^e has C(e + 3, 3) terms, the bound, so the count is
-    exact: it equals the term products MultiPoly.__mul__ sees."""
-    from boolelim.formula import _squaring_products
-    from boolelim.poly import MultiPoly, PolyRing
-
-    ring = PolyRing(Field.Q)
-    names = ("a", "b", "c")
+def _squaring_products(monkeypatch, base, e: int) -> int:
+    """The term products base ** e performs, counted on MultiPoly.__mul__."""
     spent = 0
     mul = MultiPoly.__mul__
 
@@ -122,17 +171,50 @@ def test_power_budget_counts_the_products_squaring_performs(monkeypatch):
         spent += len(p.terms) * len(q.terms)
         return mul(p, q)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    with monkeypatch.context() as m:
+        m.setattr(MultiPoly, "__mul__", counting)
+        base**e
+    return spent
+
+
+def _parses_within(monkeypatch, text: str, budget: int) -> bool:
+    with monkeypatch.context() as m:
+        m.setattr(poly, "MAX_TERM_PRODUCTS", budget)
+        try:
+            parse_term(text, PolyRing(Field.Q))
+        except SizeLimitError:
+            return False
+    return True
+
+
+def test_power_budget_is_the_products_squaring_performs(monkeypatch):
+    """A parsed power fits a budget of exactly the term products its
+    squaring performs, and not one less."""
+    names = ("a", "b", "c")
     for n in range(1, 5):
-        base = sum((ring.var(v) for v in names[: n - 1]), ring.one)
-        for e in range(0, 24):
-            want = _squaring_products(n, e)
-            if want > 20_000:
-                continue
-            spent = 0
-            base**e
-            assert spent == want, (n, e)
-    assert _squaring_products(4, 28) == 475_271 > MAX_TERM_PRODUCTS
+        text = " + ".join(("1", *names[: n - 1]))
+        base = parse_term(text, PolyRing(Field.Q))
+        for e in range(1, 24):
+            spent = _squaring_products(monkeypatch, base, e)
+            assert _parses_within(monkeypatch, f"({text})^{e}", spent), (n, e)
+            assert not _parses_within(monkeypatch, f"({text})^{e}", spent - 1), (n, e)
+
+
+@pytest.mark.parametrize("e,spent", [(100, 15_729), (400, 245_179)])
+def test_power_whose_squaring_fits_the_budget_parses(monkeypatch, e, spent):
+    """(1 + x + x^2)^e has 2e + 1 terms, far fewer than the C(e + 2, 2) a
+    three-term base can reach, and its squaring fits the budget."""
+    base = parse_term("1 + x + x^2", PolyRing(Field.Q))
+    assert _squaring_products(monkeypatch, base, e) == spent <= MAX_TERM_PRODUCTS
+    assert len(parse_term(f"(1 + x + x^2)^{e}", PolyRing(Field.Q)).terms) == 2 * e + 1
+    assert not _parses_within(monkeypatch, f"(1 + x + x^2)^{e}", spent - 1)
+
+
+def test_power_squaring_past_the_budget_is_refused(monkeypatch):
+    base = parse_term("a + b + c + 1", PolyRing(Field.Q))
+    assert _squaring_products(monkeypatch, base, 28) == 475_271 > MAX_TERM_PRODUCTS
+    with pytest.raises(SizeLimitError, match="the power at position 15"):
+        parse_term("(a + b + c + 1)^28", PolyRing(Field.Q))
 
 
 def test_power_squaring_past_the_budget_exits_4_at_once(tmp_path):
