@@ -336,17 +336,30 @@ GADGETS = {
 
 
 def _node_product(v, d: int, skip: int | None = None):
-    """prod over the nodes h in 1..d, h != skip, of (v - h), for a polynomial
-    or a field scalar v; the empty product is the unit v ** 0 of v's type."""
-    out = v**0
+    """prod over the nodes h in 1..d, h != skip, of (v - h), for a ring
+    variable or a field scalar v, from its integer coefficients: a
+    variable's terms are written from them, a scalar evaluates them by
+    Horner's rule, and no polynomials multiply. Another v raises ValueError."""
+    coeffs = [1]  # constant first; the product is monic
     for h in range(1, d + 1):
         if h != skip:
-            out = out * (v - h)
-    return out
+            coeffs = [a - h * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    if not isinstance(v, MultiPoly):
+        out = v**0
+        for c in reversed(coeffs[:-1]):
+            out = out * v + c
+        return out
+    mono = next(iter(v.terms), ())
+    if len(v.terms) != 1 or len(mono) != 1 or mono[0][1] != 1 or v.terms[mono] != 1:
+        raise ValueError(f"node product in {v.render()}, not a ring variable")
+    ((idx, _),) = mono
+    terms = {((idx, k),) if k else (): v.ring.scalar(c) for k, c in enumerate(coeffs) if c}
+    return MultiPoly(v.ring, terms)
 
 
 def lagrange_selector(i: int, d: int, v: MultiPoly) -> MultiPoly:
-    """prod over h in 1..d, h != i, of (v - h); selects clause i at v = i."""
+    """prod over h in 1..d, h != i, of (v - h) for a ring variable v, which
+    selects clause i at v = i; any other v raises ValueError."""
     if not 1 <= i <= d:
         raise IndexError(f"selector index {i} outside 1..{d}")
     return _node_product(v, d, skip=i)
@@ -788,7 +801,8 @@ def from_json(text: str) -> QuantifiedEquation:
     rebuilds it from the recorded matrix, so it is its own construction();
     the file's equation text is not parsed, only compared with the rebuild's
     rendering, and a file whose field, prefix or equation differs from the
-    rebuild's is refused with ShapeUnsupportedError. Without one it is
+    rebuild's is refused with ShapeUnsupportedError. The raw clause count
+    is the file's counts.raw_d when it has one. Without provenance it is
     opaque, its parsed polynomial only, which the complete deciders read."""
     obj = json.loads(text)
     fld = Field(obj["field"])
@@ -803,6 +817,13 @@ def from_json(text: str) -> QuantifiedEquation:
         m = to_dnf(phi) if NormalForm(prov["kind"]) is NormalForm.DNF else to_cnf(phi)
         if m.ring is None:  # a constant formula: the file's field tags it
             m = replace(m, ring=ring)
+        counts = obj.get("counts")
+        if isinstance(counts, dict) and "raw_d" in counts:
+            # the recorded formula is pruned; only the file knows the raw count
+            raw = counts["raw_d"]
+            if type(raw) is not int or raw < 0:
+                raise ValueError(f"counts.raw_d must be a non-negative int, not {raw!r}")
+            m = replace(m, raw_clause_count=raw)
         qe = build_for_shape(shape, m)
         rendered = render_poly(qe.equation, qe.quantified_names())
         if (qe.field, qe.prefix, rendered) != (fld, prefix, obj["equation"]):

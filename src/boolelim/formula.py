@@ -472,8 +472,6 @@ def rewrite_neq_to_orders(phi: Formula) -> Formula:
             return f_and([walk(c) for c in node.children])
         if isinstance(node, Or):
             return f_or([walk(c) for c in node.children])
-        if isinstance(node, Not):
-            return f_not(walk(node.child))
         return node
 
     return walk(to_nnf(phi))
@@ -523,46 +521,40 @@ class ClauseMatrix:
         return outer([inner(list(cl)) for cl in self.clauses])
 
 
-def _merge_clause(base: tuple, extra: tuple, conjunctive: bool):
-    """Combine literal tuples; None result means the clause was pruned.
+def _merge_clause(base: dict, extra: dict, conjunctive: bool):
+    """Merge two clauses, each a dict from literal key to atom in first-seen
+    order; None means the merged clause was pruned.
 
     Conjunctive clauses die on contradictions (t=0 with t!=0, t>0 with t=0,
     t>0 with -t>0); disjunctive clauses die, i.e. become trivially true, on
-    t=0 with t!=0 or the full trichotomy t=0, t>0, -t>0.
+    t=0 with t!=0 or the full trichotomy t=0, t>0, -t>0. The prunes read
+    only keys: -t>0's key is t>0's with every coefficient negated.
     """
-    seen = {a.key() for a in base}
-    out = list(base)
-    for a in extra:
-        k = a.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append(a)
-    keys = {a.key(): a for a in out}
-    for a in out:
-        if a.rel is Rel.EQ0:
-            if (Rel.NEQ0, a.term.key()) in keys:
+    out = dict(base)
+    for k, a in extra.items():
+        out.setdefault(k, a)
+    for rel, (fld, items) in out:
+        if rel is Rel.EQ0:
+            if (Rel.NEQ0, (fld, items)) in out:
                 return None
-        if conjunctive:
-            if a.rel is Rel.GT0:
-                if (Rel.EQ0, a.term.key()) in keys:
-                    return None
-                if (Rel.GT0, (-a.term).key()) in keys:
-                    return None
-        else:
-            if a.rel is Rel.GT0:
-                if (Rel.GT0, (-a.term).key()) in keys and (Rel.EQ0, a.term.key()) in keys:
-                    return None
-    return tuple(out)
+        elif rel is Rel.GT0:
+            eq = (Rel.EQ0, (fld, items)) in out
+            opposite = (Rel.GT0, (fld, tuple((m, -c) for m, c in items))) in out
+            if (eq or opposite) if conjunctive else (eq and opposite):
+                return None
+    return out
 
 
 def _distribute(phi: Formula, want: NormalForm, limit: int):
-    """Clause lists for the NNF input; returns (clauses, raw_count), the raw
-    count being that of the plain distribution with no pruning or dedup."""
+    """Clauses for the NNF input; returns (clauses, raw_count), the raw
+    count being that of the plain distribution with no pruning or dedup.
+    While they distribute, clauses are dicts from literal key to atom, so
+    each leaf literal is keyed once. Dedup keeps the first clause of each
+    key set, which leaves as the tuple of its atoms."""
     conjunctive = want is NormalForm.DNF
 
     def product(lists):
-        acc = [()]
+        acc = [{}]
         for cl_list in lists:
             nxt = []
             for left in acc:
@@ -581,11 +573,11 @@ def _distribute(phi: Formula, want: NormalForm, limit: int):
         # (clauses, raw count): the count adds at the gathering connective
         # and multiplies at the other
         if isinstance(node, TrueConst):
-            return ([()], 1) if conjunctive else ([], 0)
+            return ([{}], 1) if conjunctive else ([], 0)
         if isinstance(node, FalseConst):
-            return ([], 0) if conjunctive else ([()], 1)
+            return ([], 0) if conjunctive else ([{}], 1)
         if isinstance(node, Atom):
-            return [(node,)], 1
+            return [{node.key(): node}], 1
         gather = Or if conjunctive else And
         spread = And if conjunctive else Or
         if isinstance(node, gather):
@@ -604,15 +596,10 @@ def _distribute(phi: Formula, want: NormalForm, limit: int):
         raise TypeError(f"unexpected node in NNF: {node!r}")
 
     clauses, raw = walk(phi)
-    deduped = []
-    seen = set()
+    deduped = {}
     for cl in clauses:
-        key = frozenset(a.key() for a in cl)
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(cl)
-    return deduped, raw
+        deduped.setdefault(frozenset(cl), cl)
+    return [tuple(cl.values()) for cl in deduped.values()], raw
 
 
 def to_dnf(phi: Formula, limit: int = DEFAULT_CLAUSE_LIMIT) -> ClauseMatrix:

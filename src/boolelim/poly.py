@@ -620,10 +620,10 @@ class UniView:
 
 
 def as_univariate(p: MultiPoly, name: str) -> UniView:
+    """p as a univariate in name; a name the ring lacks leaves the ring as
+    it is and gives the degree-0 view."""
     ring = p.ring
-    if not ring.table.has(name):
-        ring.table.register(name)
-    idx = ring.table.get(name).index
+    idx = ring.table.get(name).index if ring.table.has(name) else -1
     buckets: dict[int, dict] = {}
     for m, c in p.terms.items():
         e = 0

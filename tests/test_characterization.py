@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from boolelim.cli import main
+from boolelim.elim import degree_report, from_json, to_json
 
 CASES = json.loads((Path(__file__).parent / "data" / "characterization.json").read_text())
 
@@ -43,3 +44,23 @@ def test_outputs_byte_identical(case, monkeypatch):
         code, got = run_stdin(argv, case["formula"], monkeypatch)
         assert code == 0, name
         assert got == case["outputs"][name], name
+
+
+RAW_COUNT_REPRO = r"(x = 0 \/ y != 0) /\ (x != 0 \/ y = 0) /\ (z = 0 \/ z != 0 \/ x = 0)"
+
+
+@pytest.mark.parametrize(
+    "field,form,formula",
+    [("c", "ea", RAW_COUNT_REPRO), *((c["field"], c["form"], c["formula"]) for c in CASES)],
+    ids=["raw-count-repro", *(f"{c['form']}-{c['field']}" for c in CASES)],
+)
+def test_json_round_trip_is_byte_identical(field, form, formula, monkeypatch):
+    """A loaded equation keeps the recorded raw clause count, which its
+    already pruned formula no longer shows."""
+    code, got = run_stdin(
+        ["eliminate", "--output", "json", "--field", field, "--form", form], formula, monkeypatch
+    )
+    assert code == 0
+    text = json.dumps(json.loads(got)["equation"])
+    assert to_json(from_json(text)) == text
+    assert degree_report(from_json(text)).counts["raw_d"] == json.loads(text)["counts"]["raw_d"]

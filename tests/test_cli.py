@@ -521,3 +521,40 @@ def test_decide_point_naming_a_quantified_variable_is_an_input_error(
         EXIT_OK, EXIT_UNRESOLVED
     )
     assert run(["decide", "--input", eq, "--point", point, *extra])[0] == EXIT_PARSE
+
+
+@pytest.mark.parametrize("point", ["y=", "y=2i+1"])
+def test_decide_bad_gaussian_coordinate_is_an_input_error(tmp_path, point):
+    f = write(tmp_path, "f.txt", CROSS_NEQ)
+    _, payload = run(["eliminate", "--field", "c", "--form", "ea", "--input", f, "--output", "json"])
+    eq = write(tmp_path, "eq.json", payload)
+    assert run(["decide", "--input", eq, "--point", "y=0,z=1"])[0] == EXIT_OK
+    assert run(["decide", "--input", eq, "--point", f"{point},z=1"])[0] == EXIT_PARSE
+
+
+def test_plot_grid_without_a_step_is_an_input_error():
+    assert run(["plot", "--fixture", "quadrant", "--grid=1:2"])[0] == EXIT_PARSE
+
+
+def test_selectors_of_a_hundred_clauses_compile_at_once(tmp_path):
+    """The AE_C selectors and guard come from integer node coefficients, so
+    d = 100 clauses compile to LaTeX in well under the cubic cost of
+    multiplying each selector out."""
+    f = write(tmp_path, "f.txt", " /\\ ".join(f"x{i} = 0" for i in range(1, 101)))
+    t0 = time.perf_counter()
+    code, got = run(["eliminate", "--field", "c", "--form", "ae", "--input", f, "--output", "latex"])
+    assert code == EXIT_OK and got.startswith("\\forall a")
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("raw_d", [-1, 1.5, "12", True, None])
+def test_decide_refuses_a_bad_recorded_raw_count(tmp_path, raw_d):
+    f = write(tmp_path, "f.txt", CROSS_NEQ)
+    _, payload = run(["eliminate", "--field", "c", "--form", "ea", "--input", f, "--output", "json"])
+    obj = json.loads(payload)
+    obj["equation"]["counts"]["raw_d"] = raw_d
+    eq = write(tmp_path, "eq.json", json.dumps(obj))
+    assert run(["decide", "--input", eq, "--point", "y=0,z=3"])[0] == EXIT_PARSE
+    del obj["equation"]["counts"]["raw_d"]
+    eq = write(tmp_path, "eq.json", json.dumps(obj))
+    assert run(["decide", "--input", eq, "--point", "y=0,z=3"]) == (EXIT_OK, "TRUE\n")

@@ -537,3 +537,20 @@ def test_layout_walk_matches_expanded_equation():
                     frees_and_forall = {n: v for n, v in full.items() if n not in exists}
                     assert check_witness(eq, frees_and_forall, exists) == (value == 0)
                     assert eq.substituted_equation(x) == eq.equation.substitute(x), (shape, seed)
+
+
+def test_check_witness_refuses_a_square_root_with_the_forall_value_unbound():
+    qe = build_for_shape(Shape.AE_R, to_cnf(parse("y > 0", Field.R)))
+    x = {"y": Fraction(1, 4)}
+    w = extract_witness(witness_recipe(qe), None, x, forall_value=Fraction(1))
+    assert isinstance(w["s"], SqrtValue) and check_witness(qe, x, w)
+    with pytest.raises(MissingAssignmentError):
+        check_witness(qe, x, {"s": w["s"]})
+
+
+def test_witness_recipe_needs_provenance():
+    ring = PolyRing(Field.R, VarTable())
+    r = ring.quantified("r")
+    qe = QuantifiedEquation(Field.R, (("exists", "r"),), Shape.E_R, ring, addends=((r,),))
+    with pytest.raises(ValueError):
+        witness_recipe(qe)

@@ -17,6 +17,7 @@ from boolelim.errors import (
 from boolelim.elim import (
     Shape,
     SqrtValue,
+    _node_product,
     build_for_shape,
     compile_formula,
     degree_report,
@@ -287,6 +288,42 @@ def test_lagrange_selector_values():
         lagrange_selector(0, d, v)
     with pytest.raises(IndexError):
         lagrange_selector(5, d, v)
+
+
+@pytest.mark.parametrize("fld", [Field.Q, Field.C])
+def test_lagrange_selector_is_its_product_definition(fld):
+    ring = PolyRing(fld, VarTable())
+    v = ring.quantified("v")
+    for d in range(1, 7):
+        for i in range(1, d + 1):
+            want = ring.one
+            for h in range(1, d + 1):
+                if h != i:
+                    want = want * (v - h)
+            assert lagrange_selector(i, d, v) == want, (i, d)
+
+
+def test_lagrange_selector_refuses_anything_but_a_ring_variable():
+    ring = PolyRing(Field.Q, VarTable())
+    v = ring.quantified("v")
+    for other in (v + 1, 2 * v, v * v, v * ring.var("x"), ring.one, ring.zero):
+        with pytest.raises(ValueError):
+            lagrange_selector(1, 3, other)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 3), Fraction(-2), gaussian(1, 2)])
+def test_node_product_of_a_scalar_is_its_product_definition(alpha):
+    for d in range(5):
+        want = alpha**0
+        for h in range(1, d + 1):
+            want = want * (alpha - h)
+        got = _node_product(alpha, d)
+        assert got == want and type(got) is type(want), d
+
+
+def test_square_root_of_a_negative_is_refused():
+    with pytest.raises(ValueError):
+        SqrtValue(Fraction(-1))
 
 
 def test_degree_report_golden_ea():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,36 @@ def test_connective_constructors_flatten():
     psi = parse("y = 0", Field.Q)
     both = f_and([phi, f_and([psi])])
     assert len(both.children) == 2
+    chi = parse("z = 0", Field.Q)
+    assert f_and([phi, f_and([psi, chi])]).children == (phi, psi, chi)
     assert f_or([]) is not None
     assert not eval_formula(f_or([]), {})
     assert eval_formula(f_and([]), {})
+
+
+def test_render_formula_of_a_negation():
+    assert render_formula(f_not(parse(r"x = 0 /\ y > 0", Field.Q))) == r"~(x = 0 /\ y > 0)"
+
+
+@pytest.mark.parametrize("t", ["x", "x - 2/3*y + 1", "-x*y + 5/7"])
+def test_cnf_clause_with_the_full_trichotomy_dropped(t):
+    """t = 0, t > 0 and -t > 0 make a disjunctive clause trivially true;
+    -t's key is t's with every coefficient negated."""
+    m = to_cnf(parse(rf"({t} > 0 \/ {t} < 0 \/ {t} = 0) /\ z = 0", Field.Q))
+    assert render_formula(m.as_formula()) == "z = 0"
+    m = to_cnf(parse(rf"({t} > 0 \/ {t} < 0) /\ z = 0", Field.Q))
+    assert m.d == 2
+
+
+def test_normal_forms_key_each_literal_once(monkeypatch):
+    """Distribution keys each leaf atom once however many clauses it
+    enters: here 24 leaves spread into 4096 CNF clauses."""
+    phi = parse(r" \/ ".join(f"(x{i} = 0 /\\ y{i} != 0)" for i in range(12)), Field.Q)
+    calls = []
+    key = Atom.key
+    monkeypatch.setattr(Atom, "key", lambda a: calls.append(a) or key(a))
+    t0 = time.perf_counter()
+    m = to_cnf(phi)
+    elapsed = time.perf_counter() - t0
+    assert (m.d, m.raw_clause_count, len(calls)) == (4096, 4096, 24)
+    assert elapsed < 0.5

@@ -5,6 +5,7 @@ import pytest
 
 from boolelim.elim import SqrtValue
 from boolelim.errors import FieldMismatchError, UnexpectedVariablesError
+from boolelim.formula import parse
 from boolelim.exactnum import gaussian
 from boolelim.poly import (
     INFINITE,
@@ -333,3 +334,31 @@ def test_evaluate_names_a_variable_the_point_lacks():
     p = ring.var("x") * ring.var("y")
     with pytest.raises(UnexpectedVariablesError, match="'y'"):
         p.evaluate({"x": Fraction(1)})
+
+
+def test_univariate_view_in_a_name_the_ring_lacks_leaves_the_ring_alone():
+    p = parse("x*y - 1 = 0", Field.Q).term
+    view = as_univariate(p, "t")
+    assert p.ring.table.free_names() == ("x", "y")
+    assert view.degree == 0 and view.coeffs == (p,)
+
+
+def test_polynomials_of_two_rings_compare_by_names():
+    a = PolyRing(Field.Q, VarTable())
+    b = PolyRing(Field.Q, VarTable())
+    b.var("y")
+    assert a.var("x") * 2 + 1 == b.var("x") * 2 + 1
+    assert a.var("x") + 1 != b.var("y") + 1
+    assert a.var("x") != PolyRing(Field.R, VarTable()).var("x")
+
+
+def test_gcd_of_views_in_two_variables_is_refused():
+    ring, x, y, z = ring_xyz()
+    with pytest.raises(ValueError):
+        gcd_univariate(as_univariate(x + 1, "x"), as_univariate(y + 1, "y"))
+
+
+def test_real_roots_over_c_are_refused():
+    ring, x, y, z = ring_xyz(Field.C)
+    with pytest.raises(FieldMismatchError):
+        count_real_roots(as_univariate(x * x - 2, "x"))

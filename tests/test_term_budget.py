@@ -104,7 +104,8 @@ _ORDERS = r"x1 + y1 + 1 > 0 \/ x2 + y2 + 1 > 0 \/ z + 1 = 0"
 ], ids=lambda v: v.value if isinstance(v, Shape) else None)
 def test_construction_charges_its_literal_products(monkeypatch, shape, fld, text, spent):
     """A construction builds within a budget of exactly the term products of
-    its literals' terms, and not one less; the selectors are not charged."""
+    its literals' terms, and not one less; the selectors and the guard are
+    written from integer node coefficients, with no product to charge."""
     phi = parse(text, fld)
     monkeypatch.setattr(poly, "MAX_TERM_PRODUCTS", spent)
     compile_formula(phi, shape, fld)
