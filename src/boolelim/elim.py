@@ -86,6 +86,7 @@ from .poly import (
     MultiPoly,
     PolyRing,
     TermBudget,
+    fold_layout,
     render_poly,
     render_poly_latex,
 )
@@ -134,22 +135,25 @@ class QuantifiedEquation:
     def free_names(self) -> tuple[str, ...]:
         return self.ring.table.free_names()
 
-    def addend_values(self, fmap: Callable, times: Callable = mul) -> list:
-        """prod_j fmap(f_ij) per addend i, for a per-factor map: the
-        identity, a substitution or an evaluation. An empty product maps 1."""
-        return [reduce(times, map(fmap, a or (self.ring.one,))) for a in self.addends]
-
     def fold(self, fmap: Callable):
         """fmap(guard) * sum_i (prod_j fmap(f_ij))^power: the equation under
-        a per-factor map, multiplied out after mapping the small factors.
-        Its multiplications share one TermBudget (a scalar is one term), so
-        past MAX_TERM_PRODUCTS in one fold it raises SizeLimitError."""
-        times = TermBudget(f"expanding the {self.shape.value} equation").times
-        values = self.addend_values(fmap, times)
-        if self.power == 2:
-            values = [times(v, v) for v in values]
-        total = sum(values[1:], values[0]) if values else fmap(self.ring.zero)
-        return total if _is_unit(self.guard) else times(fmap(self.guard), total)
+        a per-factor map, multiplied out after mapping the small factors, in
+        poly.fold_layout's one integer pass. Its multiplications share one
+        TermBudget (a scalar is one term), so past MAX_TERM_PRODUCTS in one
+        fold it raises SizeLimitError. A map to scalars, such as an
+        evaluation, gives a scalar."""
+        ring = self.ring
+        one = ring.one
+        scalars = not isinstance(fmap(one), MultiPoly)
+
+        def value(f):
+            return ring.const(fmap(f)) if scalars else fmap(f)
+
+        guard = None if _is_unit(self.guard) else value(self.guard)
+        addends = [[value(f) for f in a or (one,)] for a in self.addends]
+        budget = TermBudget(f"expanding the {self.shape.value} equation")
+        total = fold_layout(ring, guard, addends, self.power, budget)
+        return total.constant_value() if scalars else total
 
     @property
     def opaque(self) -> bool:
@@ -170,9 +174,13 @@ class QuantifiedEquation:
         if x.keys() >= set(self.quantified_names()):
             roots = {n: v for n, v in x.items() if isinstance(v, SqrtValue)}
             rest = {n: v for n, v in x.items() if n not in roots}
-            values = self.addend_values(lambda f: f.substitute(rest).evaluate(roots))
-            total = sum(v**self.power for v in values)
-            return not self.guard.substitute(rest).evaluate(roots) or not total
+            one = self.ring.one
+
+            def value(f):
+                return f.substitute(rest).evaluate(roots)
+
+            total = sum(reduce(mul, map(value, a or (one,))) ** self.power for a in self.addends)
+            return not value(self.guard) or not total
         if self.power == 1 and len(self.addends) == 1:
             return any(f.substitute(x).is_zero() for f in (self.guard, *self.addends[0]))
         return self.substituted_equation(x).is_zero()
@@ -335,15 +343,29 @@ GADGETS = {
 }
 
 
-def _node_product(v, d: int, skip: int | None = None):
-    """prod over the nodes h in 1..d, h != skip, of (v - h), for a ring
-    variable or a field scalar v, from its integer coefficients: a
-    variable's terms are written from them, a scalar evaluates them by
-    Horner's rule, and no polynomials multiply. Another v raises ValueError."""
-    coeffs = [1]  # constant first; the product is monic
+def _node_coeffs(d: int) -> list[int]:
+    """prod over the nodes h in 1..d of (v - h) as integer coefficients,
+    constant first; the product is monic."""
+    coeffs = [1]
     for h in range(1, d + 1):
-        if h != skip:
-            coeffs = [a - h * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs = [a - h * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+def _node_product(v, d: int, skip: int | None = None, nodes: list | None = None):
+    """prod over the nodes h in 1..d, h != skip, of (v - h), for a ring
+    variable or a field scalar v, from its integer coefficients: those of
+    the full product, nodes when given (a construction computes them once
+    for its guard and all d selectors), divided synthetically by (v - skip)
+    for a skipped node, in O(d). A variable's terms are written from them,
+    a scalar evaluates them by Horner's rule, and no polynomials multiply.
+    Another v raises ValueError."""
+    coeffs = _node_coeffs(d) if nodes is None else nodes
+    if skip is not None:
+        quotient = [coeffs[-1]]  # highest power first
+        for c in coeffs[-2:0:-1]:
+            quotient.append(c + skip * quotient[-1])
+        coeffs = quotient[::-1]
     if not isinstance(v, MultiPoly):
         out = v**0
         for c in reversed(coeffs[:-1]):
@@ -463,10 +485,11 @@ def _build_guarded(m: ClauseMatrix, fld: Field, names: list) -> tuple:
     ys = [ring.quantified(n) for n in exists]
     w = GADGETS[fld].base(ys)
     d = m.d
-    guard = ring.one - ys[0] * _node_product(z, d)
+    nodes = _node_coeffs(d)
+    guard = ring.one - ys[0] * _node_product(z, d, nodes=nodes)
     times = TermBudget("building the construction").times
     addends = [
-        (lagrange_selector(i, d, z), *_clause_factors(m, i - 1, fld, w, times))
+        (_node_product(z, d, i, nodes), *_clause_factors(m, i - 1, fld, w, times))
         for i in range(1, d + 1)
     ]
     prefix = (("forall", univ), *(("exists", n) for n in exists))

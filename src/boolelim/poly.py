@@ -5,16 +5,21 @@ exponent) pairs, exponents > 0) to nonzero scalars. Every polynomial belongs
 to a PolyRing, which fixes the coefficient field and owns the variable table;
 mixing rings raises. The canonical text rendering sorts terms graded
 lexicographically with quantified variables ranked before free ones, which is
-what the golden files and the JSON round-trip rely on. Text and LaTeX are one
-term walk; a small style record says how each spells numbers, the imaginary
-unit, mixed Gaussians, products and powers.
+what the golden files and the JSON round-trip rely on; each term's place
+comes from one packed int (its exponents in significance order under its
+total degree), so the sort compares ints. Text and LaTeX are one term walk; a
+small style record says how each spells numbers (from numerator and
+denominator), the imaginary unit, mixed Gaussians, products and powers.
 
-Products and powers go through one integer kernel. A one-term operand
-scales and shifts the other's terms; otherwise each operand is cleared to
-integer numerators (Gaussian integer pairs over C) over one denominator, its
-monomials are packed into one int each with a field per variable as wide as
-the largest exponent sum needs, and the numerators accumulate as ints, so a
-field scalar is built once per output term.
+Products, powers and the expansion of an equation's layout go through one
+integer kernel, _packed_product. A one-term operand scales and shifts the
+other's terms; otherwise each operand is cleared to integer numerators
+(Gaussian integer pairs over C) over one denominator, its monomials are
+packed into one int each with a field per variable as wide as the largest
+exponent sum needs, and the numerators accumulate as ints; a square takes
+each cross pair once. fold_layout keeps a whole layout packed, with one
+running denominator, through its products, squares and sum, so field
+scalars and monomial tuples are built once, for the result.
 
 Evaluation and substitution are one term walk that multiplies each bound
 variable's power into the coefficient. Both coerce an int, Fraction or
@@ -75,20 +80,24 @@ _UNBOUND = object()  # a variable the bindings leave in the monomial
 class TermBudget:
     """The term products one parsed product chain or power, one construction,
     one expansion or one exact degree check has spent against
-    MAX_TERM_PRODUCTS, a scalar counting as one term. `times` charges each
-    product before taking it, and raises SizeLimitError naming `what`
-    instead of taking the product that would pass the budget."""
+    MAX_TERM_PRODUCTS, a scalar counting as one term. `charge` counts m * n
+    products before they are taken and raises SizeLimitError naming `what`
+    once the total passes the budget; `times` charges a product of two
+    operands and takes it."""
 
     def __init__(self, what: str):
         self.what = what
         self.spent = 0
 
-    def times(self, p, q):
-        self.spent += _term_count(p) * _term_count(q)
+    def charge(self, m: int, n: int) -> None:
+        self.spent += m * n
         if self.spent > MAX_TERM_PRODUCTS:
             raise SizeLimitError(
                 f"{self.what} multiplies out more than {MAX_TERM_PRODUCTS} term products"
             )
+
+    def times(self, p, q):
+        self.charge(_term_count(p), _term_count(q))
         return p * q
 
 
@@ -228,12 +237,10 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 def _product(fld: Field, a: dict, b: dict) -> dict:
     """The terms of the product of the term dicts a and b. A one-term
     operand scales and shifts the other's terms, which stay distinct and
-    nonzero. Otherwise each operand is cleared to integer numerators over
-    one denominator, Gaussian integer pairs over C, and each monomial is
-    packed into one int, a field per variable index wide enough for the
-    largest exponent sum, so a monomial product is one int addition. The
-    numerators accumulate as ints; a field scalar is built once per output
-    term, and a term that cancels is left out."""
+    nonzero. Otherwise both go through the packed kernel: each is cleared
+    once to integer numerators over one denominator, its monomials packed
+    at a field width that holds the largest exponent sum, and multiplied by
+    _packed_product, a square (a is b) taking each cross pair once."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) <= 1:
@@ -243,35 +250,66 @@ def _product(fld: Field, a: dict, b: dict) -> dict:
         if not m1:
             return {m: c1 * c for m, c in b.items()}
         return {_mono_mul(m1, m): c1 * c for m, c in b.items()}
-    width = (max(e for m in a for _, e in m) + max(e for m in b for _, e in m)).bit_length()
+    width = (_top_exponent(a) + _top_exponent(b)).bit_length()
     gauss = fld is Field.C
-    da, ta = _packed(a, width, gauss)
-    db, tb = _packed(b, width, gauss)
-    den = da * db
-    acc: dict = {}
-    get = acc.get
-    if not gauss:
-        for ka, ca in ta:
-            for kb, cb in tb:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-        return {_unpacked(k, width): Fraction(n, den) for k, n in acc.items() if n}
-    imag: dict = {}
-    iget = imag.get
-    for ka, (ar, ai) in ta:
-        for kb, (br, bi) in tb:
-            k = ka + kb
-            acc[k] = get(k, 0) + ar * br - ai * bi
-            imag[k] = iget(k, 0) + ar * bi + ai * br
-    return {
-        _unpacked(k, width): GaussianRational(Fraction(n, den), Fraction(imag[k], den))
-        for k, n in acc.items()
-        if n or imag[k]
-    }
+    da, pa = _packed(a, width, gauss)
+    db, pb = (da, pa) if a is b else _packed(b, width, gauss)
+    return _unpacked_terms(_packed_product(pa, pb, gauss), da * db, width, gauss)
 
 
-def _packed(t: dict, width: int, gauss: bool) -> tuple[int, list]:
-    """(den, [(packed monomial, numerator)]) with each coefficient of t its
+def fold_layout(ring: PolyRing, guard, addends: list, power: int, budget: TermBudget):
+    """The MultiPoly guard * sum_i (prod_j f_ij)^power multiplied out in one
+    integer pass, for a guard (None for the unit) and one non-empty list of
+    factors f_ij per addend. Each distinct factor (by identity) is cleared
+    and packed once, at one field width that holds the largest exponent the
+    whole layout can reach; every addend's products, then the squares, the
+    sum and the guard's product run on packed integer terms with one
+    running denominator, and field scalars and monomial tuples are built
+    once, for the result. The budget is charged before each product with
+    the term counts the MultiPoly products would have, in their order, a
+    square as len^2, so SizeLimitError fires where theirs would."""
+    gauss = ring.field is Field.C
+    # the largest exponent any product, square or sum below can reach
+    reach = power * max((sum(_top_exponent(f.terms) for f in a) for a in addends), default=0)
+    if guard is not None:
+        reach += _top_exponent(guard.terms)
+    width = reach.bit_length()
+    packed: dict = {}
+
+    def pack(f):
+        p = packed.get(id(f))
+        if p is None:
+            p = packed[id(f)] = _packed(f.terms, width, gauss)
+        return p
+
+    values = []
+    for factors in addends:
+        d, acc = pack(factors[0])
+        for f in factors[1:]:
+            df, pf = pack(f)
+            budget.charge(len(acc), len(pf))
+            acc = _packed_product(acc, pf, gauss)
+            d *= df
+        values.append((d, acc))
+    if power == 2:
+        for k, (d, acc) in enumerate(values):
+            budget.charge(len(acc), len(acc))
+            values[k] = d * d, _packed_product(acc, acc, gauss)
+    den, total = _packed_sum(values, gauss)
+    if guard is not None:
+        dg, pg = pack(guard)
+        budget.charge(len(pg), len(total))
+        total = _packed_product(pg, total, gauss)
+        den *= dg
+    return MultiPoly(ring, _unpacked_terms(total, den, width, gauss))
+
+
+def _top_exponent(t: dict) -> int:
+    return max((e for m in t for _, e in m), default=0)
+
+
+def _packed(t: dict, width: int, gauss: bool) -> tuple[int, dict]:
+    """(den, {packed monomial: numerator}) with each coefficient of t its
     numerator over den, an (re, im) pair over C; variable i's exponent sits
     at bit i * width of the packed monomial."""
     den, nums = _integers(list(t.values()), gauss)
@@ -281,7 +319,89 @@ def _packed(t: dict, width: int, gauss: bool) -> tuple[int, list]:
         for i, e in m:
             k += e << i * width
         keys.append(k)
-    return den, list(zip(keys, nums))
+    return den, dict(zip(keys, nums))
+
+
+def _packed_product(a: dict, b: dict, gauss: bool) -> dict:
+    """a * b for packed term dicts, a monomial product being one int
+    addition and the numerators accumulating as ints ((re, im) pairs over
+    C); for a square, a is b, each cross pair is taken once and doubled. A
+    term whose numerator sums to zero is left out."""
+    acc: dict = {}
+    get = acc.get
+    if not gauss:
+        if a is b:
+            items = list(a.items())
+            for n, (ka, ca) in enumerate(items):
+                k = ka + ka
+                acc[k] = get(k, 0) + ca * ca
+                ca += ca
+                for kb, cb in items[n + 1 :]:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+        else:
+            items = list(b.items())
+            for ka, ca in a.items():
+                for kb, cb in items:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+        return {k: n for k, n in acc.items() if n}
+    imag: dict = {}
+    iget = imag.get
+    if a is b:
+        items = list(a.items())
+        for n, (ka, (ar, ai)) in enumerate(items):
+            k = ka + ka
+            acc[k] = get(k, 0) + ar * ar - ai * ai
+            imag[k] = iget(k, 0) + 2 * ar * ai
+            ar += ar
+            ai += ai
+            for kb, (br, bi) in items[n + 1 :]:
+                k = ka + kb
+                acc[k] = get(k, 0) + ar * br - ai * bi
+                imag[k] = iget(k, 0) + ar * bi + ai * br
+    else:
+        items = list(b.items())
+        for ka, (ar, ai) in a.items():
+            for kb, (br, bi) in items:
+                k = ka + kb
+                acc[k] = get(k, 0) + ar * br - ai * bi
+                imag[k] = iget(k, 0) + ar * bi + ai * br
+    return {k: (n, imag[k]) for k, n in acc.items() if n or imag[k]}
+
+
+def _packed_sum(values: list, gauss: bool) -> tuple[int, dict]:
+    """(den, terms) of the sum of the packed term dicts t / d over the (d, t)
+    in values, den the lcm of the d; a term that cancels is left out."""
+    if len(values) == 1:
+        return values[0]
+    den = math.lcm(*(d for d, _ in values))
+    out: dict = {}
+    get = out.get
+    if gauss:
+        for d, t in values:
+            s = den // d
+            for k, (r, i) in t.items():
+                z = get(k, (0, 0))
+                out[k] = (z[0] + r * s, z[1] + i * s)
+        return den, {k: z for k, z in out.items() if z[0] or z[1]}
+    for d, t in values:
+        s = den // d
+        for k, n in t.items():
+            out[k] = get(k, 0) + n * s
+    return den, {k: n for k, n in out.items() if n}
+
+
+def _unpacked_terms(t: dict, den: int, width: int, gauss: bool) -> dict:
+    """The term dict of the packed terms t over den: monomial tuples, and
+    one field scalar per distinct numerator, which the terms share."""
+    if gauss:
+        parts = {x for z in t.values() for x in z}
+        fracs = {n: Fraction(n, den) for n in parts}
+        scalars = {z: GaussianRational(fracs[z[0]], fracs[z[1]]) for z in set(t.values())}
+    else:
+        scalars = {n: Fraction(n, den) for n in set(t.values())}
+    return {_unpacked(k, width): scalars[n] for k, n in t.items()}
 
 
 def _unpacked(k: int, width: int) -> Mono:
@@ -309,10 +429,6 @@ def _integers(cs: list, gauss: bool) -> tuple[int, list]:
     return den, [c.numerator * (den // d) for c, d in zip(cs, dens)]
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 class MultiPoly:
     __slots__ = ("ring", "terms")
 
@@ -338,7 +454,7 @@ class MultiPoly:
     def total_degree(self):
         if not self.terms:
             return NEG_INF
-        return max(_mono_degree(m) for m in self.terms)
+        return max(sum(e for _, e in m) for m in self.terms)
 
     def degree_in(self, name: str):
         if not self.terms or not self.ring.table.has(name):
@@ -490,33 +606,37 @@ class MultiPoly:
 # -- canonical rendering ---------------------------------------------------
 
 
-def _significance(ring: PolyRing, quantified: Sequence[str]) -> dict[int, tuple]:
-    # free variables rank by name so the rendering does not depend on the
-    # order the table happened to register them in
+def _significance(ring: PolyRing, quantified: Sequence[str], indices) -> dict[int, tuple]:
+    """The rank of each variable index: the quantified names in the given
+    order, then other quantified variables, then free ones, both by name, so
+    the rendering does not depend on the order the table registered them in."""
     qrank = {name: k for k, name in enumerate(quantified)}
+    table = ring.table.all_vars()
     ranks = {}
-    for v in ring.table.all_vars():
+    for i in indices:
+        v = table[i]
         if v.name in qrank:
-            ranks[v.index] = (0, qrank[v.name], "")
-        elif v.quantified:
-            ranks[v.index] = (1, 0, v.name)
+            ranks[i] = (0, qrank[v.name], "")
         else:
-            ranks[v.index] = (2, 0, v.name)
+            ranks[i] = (1 if v.quantified else 2, 0, v.name)
     return ranks
 
 
-def _latex_number(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    neg = "-" if x < 0 else ""
-    return f"{neg}\\tfrac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+def _text_number(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _latex_number(n: int, d: int) -> str:
+    if d == 1:
+        return str(n)
+    return f"{'-' if n < 0 else ''}\\tfrac{{{abs(n)}}}{{{d}}}"
 
 
 @dataclass(frozen=True)
 class _Style:
     """How a rendering spells the pieces of a term; the walk is shared."""
 
-    number: Callable[[Fraction], str]
+    number: Callable[[int, int], str]  # a numerator over a positive denominator
     imag: str  # a non-unit imaginary magnitude, from its number
     mixed: str  # a Gaussian with both parts: real part, sign, imaginary part
     times: tuple[str, str]  # coefficient to monomial, after a number or a ")"
@@ -524,54 +644,70 @@ class _Style:
     power: str
 
 
-_TEXT = _Style(str, "{}*i", "({}{}{})", ("*", "*"), "*", "{}^{}")
+_TEXT = _Style(_text_number, "{}*i", "({}{}{})", ("*", "*"), "*", "{}^{}")
 _LATEX = _Style(_latex_number, "{}i", "({} {} {})", (" ", ""), " ", "{}^{{{}}}")
 
 
-def _coeff_pieces(c: Scalar, style: _Style) -> tuple[int, str]:
-    """(sign, magnitude text) for a coefficient; mixed Gaussians keep sign +."""
+def _coeff_pieces(c: Scalar, style: _Style) -> tuple[bool, str]:
+    """(negative, magnitude text) for a coefficient, spelled from numerators
+    and denominators; a mixed Gaussian is not negative."""
     if isinstance(c, GaussianRational):
-        if c.im == 0:
-            c = c.re
-        else:
-            mag = abs(c.im)
-            im_s = "i" if mag == 1 else style.imag.format(style.number(mag))
-            if c.re == 0:
-                return (-1 if c.im < 0 else 1), im_s
-            op = "+" if c.im > 0 else "-"
-            return 1, style.mixed.format(style.number(c.re), op, im_s)
-    return (-1 if c < 0 else 1), style.number(abs(c))
+        re, im = c.re, c.im
+        if im:
+            n, d = im.numerator, im.denominator
+            im_s = "i" if d == 1 and abs(n) == 1 else style.imag.format(style.number(abs(n), d))
+            if not re:
+                return n < 0, im_s
+            op = "+" if n > 0 else "-"
+            return False, style.mixed.format(style.number(re.numerator, re.denominator), op, im_s)
+        c = re
+    n = c.numerator
+    return n < 0, style.number(abs(n), c.denominator)
 
 
 def _render(p: MultiPoly, quantified: Sequence[str], style: _Style) -> str:
     """Terms in canonical order, total degree then lex on significance, and
-    each monomial's variables by significance."""
+    each monomial's variables by significance. Each distinct (variable,
+    exponent) pair is looked at once, for its text, its rank and its share
+    of a packed sort key: the exponents sit in fields of one width in
+    significance order, the most significant highest, with the total degree
+    in a field above them, so a term's key is the sum of its pairs' shares
+    and one int comparison orders two terms."""
     if not p.terms:
         return "0"
-    ranks = _significance(p.ring, quantified)
-    pos = {idx: k for k, idx in enumerate(sorted(ranks, key=ranks.__getitem__))}
-
-    def sort_key(item):
-        m, _ = item
-        dense = [0] * len(pos)
-        for i, e in m:
-            dense[pos[i]] = e
-        return (_mono_degree(m), dense)
-
+    pairs = {q for m in p.terms for q in m}
+    ranks = _significance(p.ring, quantified, {i for i, _ in pairs})
+    pos = {i: k for k, i in enumerate(sorted(ranks, key=ranks.__getitem__))}
+    width = max((e for _, e in pairs), default=0).bit_length()
+    top = len(pos) * width
     name_of = p.ring.table.name_of
+    share = {}
+    rank = {}
+    text = {}
+    for q in pairs:
+        i, e = q
+        share[q] = (e << (top - (pos[i] + 1) * width)) + (e << top)
+        rank[q] = pos[i]
+        text[q] = name_of(i) if e == 1 else style.power.format(name_of(i), e)
+    by_key = {sum(map(share.__getitem__, m)): (m, c) for m, c in p.terms.items()}
+    # the terms may share coefficient objects, each spelled once
+    spelled: dict = {}
     out: list[str] = []
-    for m, c in sorted(p.terms.items(), key=sort_key, reverse=True):
-        sign, body = _coeff_pieces(c, style)
+    for key in sorted(by_key, reverse=True):
+        m, c = by_key[key]
+        spell = spelled.get(id(c))
+        if spell is None:
+            neg, body = _coeff_pieces(c, style)
+            lead = "" if body == "1" else body + style.times[body.endswith(")")]
+            spell = spelled[id(c)] = (neg, lead, body)
+        neg, lead, body = spell
         if m:
-            mono = style.var_join.join(
-                name_of(i) if e == 1 else style.power.format(name_of(i), e)
-                for i, e in sorted(m, key=lambda q: pos[q[0]])
-            )
-            body = mono if body == "1" else body + style.times[body.endswith(")")] + mono
+            names = map(text.__getitem__, sorted(m, key=rank.__getitem__))
+            body = lead + style.var_join.join(names)
         if not out:
-            out.append(f"-{body}" if sign < 0 else body)
+            out.append(f"-{body}" if neg else body)
         else:
-            out.append(f" - {body}" if sign < 0 else f" + {body}")
+            out.append(f" - {body}" if neg else f" + {body}")
     return "".join(out)
 
 
@@ -609,13 +745,6 @@ class UniView:
                     f"univariate view in {self.var!r} has a nonconstant coefficient"
                 )
             out.append(c.constant_value())
-        return out
-
-    def to_poly(self) -> MultiPoly:
-        v = self.ring.var(self.var)
-        out = self.ring.zero
-        for j, c in enumerate(self.coeffs):
-            out = out + c * v**j
         return out
 
 

@@ -66,6 +66,19 @@ def schoolbook_product(p: dict, q: dict) -> dict:
     return {e: c for e, c in out.items() if _coeff_nonzero(c)}
 
 
+# -- univariate views back to polynomials ----------------------------------------
+
+
+def view_poly(view):
+    """sum_j coeffs[j] * var^j of a univariate view, in the view's ring. A
+    view of degree 0 or less does not name its variable, so the ring's
+    variables stay as they are."""
+    out = view.ring.zero
+    for j, c in enumerate(view.coeffs):
+        out = out + (c * view.ring.var(view.var) ** j if j else c)
+    return out
+
+
 # -- grid-plus-Cauchy-bound real root scanner -----------------------------------
 
 

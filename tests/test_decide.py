@@ -20,6 +20,7 @@ from boolelim.elim import (
     Shape,
     SqrtValue,
     build_for_shape,
+    compile_formula,
     extract_witness,
     witness_recipe,
 )
@@ -44,10 +45,11 @@ from boolelim.formula import (
     eval_formula,
     parse,
     random_formula,
+    render_formula,
     to_cnf,
     to_dnf,
 )
-from boolelim.poly import Field, PolyRing, VarTable, as_univariate
+from boolelim.poly import Field, PolyRing, VarTable, as_univariate, render_poly
 from oracles import SHAPE_SETUPS
 
 
@@ -148,6 +150,56 @@ def test_deciders_match_formula_random_sweep():
             for _ in range(10):
                 pt = sample_point(rng, fld, list(qe.free_names()))
                 assert decider(qe, pt) == eval_formula(phi, pt), (shape, seed, pt)
+
+
+def _random_tree(rng, leaves, depth):
+    """A random and/or/not formula text over the literal texts."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    op = rng.choice((" /\\ ", " \\/ "))
+    kids = [_random_tree(rng, leaves, depth - 1) for _ in range(rng.randint(2, 3))]
+    node = "(" + op.join(kids) + ")"
+    return f"~{node}" if rng.random() < 0.2 else node
+
+
+@pytest.mark.parametrize("shape", [Shape.EA_C, Shape.AE_C])
+def test_c_deciders_at_planted_zero_patterns(shape):
+    """Over C a random point makes a literal term vanish almost never, so a
+    random sweep sees only the all-nonzero pattern. Here each formula has
+    three literal terms with Gaussian coefficients, shifted to vanish or not
+    at one point in every one of the 8 patterns, and the construction's
+    verdict there must be the formula's."""
+    rng = random.Random(2101 + (shape is Shape.AE_C))
+    names = ["x1", "x2", "x3"]
+    verdicts = {True: 0, False: 0}
+    for _ in range(12):
+        ring = PolyRing(Field.C)
+        point = {n: gaussian(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4))
+                 for n in names}
+        bases = []
+        while len(bases) < 3:
+            t = ring.zero
+            for _ in range(rng.randint(1, 3)):
+                mono = ring.const(gaussian(rng.randint(-5, 5), rng.randint(-5, 5)))
+                for n in rng.sample(names, rng.randint(1, 2)):
+                    mono = mono * ring.var(n)
+                t = t + mono
+            if not t.is_constant():
+                bases.append(t - t.evaluate(point))
+        offsets = [gaussian(rng.randint(1, 5), rng.randint(-5, 5)) for _ in bases]
+        rels = [rng.choice(("=", "!=")) for _ in bases]
+        tree = _random_tree(rng, ["{0}", "{1}", "{2}"], 3)
+        for pattern in range(8):
+            zeros = [bool(pattern >> j & 1) for j in range(3)]
+            terms = [b if z else b + c for b, z, c in zip(bases, zeros, offsets)]
+            assert [t.evaluate(point) == 0 for t in terms] == zeros
+            literals = [f"{render_poly(t)} {r} 0" for t, r in zip(terms, rels)]
+            phi = parse(tree.format(*literals), Field.C)
+            want = eval_formula(phi, point)
+            qe = compile_formula(phi, shape, Field.C)
+            assert decider_for_shape(shape)(qe, point) == want, (zeros, render_formula(phi))
+            verdicts[want] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10, verdicts
 
 
 def test_decider_registry_covers_all_shapes():
