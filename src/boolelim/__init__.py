@@ -19,7 +19,6 @@ from .elim import (
     Shape,
     ShapeSpec,
     SqrtValue,
-    WitnessRecipe,
     build_for_shape,
     degree_report,
     extract_witness,

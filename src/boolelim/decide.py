@@ -161,10 +161,9 @@ def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, forall_value=None)
     # the forall variable after an exists one stays in its blocks (ea)
     forall = next((n for q, n in qe.prefix[1:] if q == "forall"), None)
     # each value becomes a constant of the ring once, not once per factor:
-    # x's values that no binding overrides, then each binding's
+    # x's values, then each binding's, which name only quantified variables
     ring = qe.ring
-    bound = {n for _, binding, _, _ in blocks for n in binding}
-    shared = {n: ring.const(v) for n, v in x.items() if n not in bound and ring.table.has(n)}
+    shared = {n: ring.const(v) for n, v in x.items() if ring.table.has(n)}
     read = []
     for _, binding, factors, name in blocks:
         point = {**shared, **{n: ring.const(v) for n, v in binding.items()}}
@@ -212,7 +211,7 @@ def _opaque_ae_c(qe: QuantifiedEquation, x: Mapping) -> bool:
     statement fails iff the gcd g of the positive-degree coefficients has
     a root that d_0 misses."""
     (_, a_name), (_, b_name) = qe.prefix
-    p = qe.guard.substitute(x)
+    p = qe.addends[0][0].substitute(x)
     _require_only([p], {a_name, b_name}, f"decide {qe.shape.value}")
     coeffs = as_univariate(p, b_name).coeffs
     if not coeffs:
@@ -303,6 +302,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample plan needs count >= 1")
+        if self.bound < 1:
+            raise ValueError(f"sample plan needs bound >= 1, got bound {self.bound}")
 
 
 def refute_ae(qe: QuantifiedEquation, x: Mapping, plan: SamplePlan) -> Verdict:

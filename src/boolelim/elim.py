@@ -37,10 +37,10 @@ the product shapes have a unit guard and one addend holding the clause
 factors, the sum-of-squares shapes a unit guard, one addend per clause and
 k = 2, and the forall-first shapes the guard bracket over selector addends,
 each starting with its selector. An equation loaded without provenance is
-its expanded polynomial in the guard with one empty addend. Expanding,
-substituting, evaluating, degree counting and LaTeX all walk this layout,
-and the expanded polynomial is computed lazily. The facts each shape needs
-of its input and its layout are in one table, SHAPE_SPECS.
+opaque: a product of one factor, its polynomial, under the unit guard.
+Expanding, substituting, evaluating, degree counting and LaTeX all walk this
+layout, and the expanded polynomial is computed lazily. The facts each shape
+needs of its input and its layout are in one table, SHAPE_SPECS.
 """
 
 from __future__ import annotations
@@ -135,31 +135,30 @@ class QuantifiedEquation:
     def free_names(self) -> tuple[str, ...]:
         return self.ring.table.free_names()
 
-    def fold(self, fmap: Callable):
-        """fmap(guard) * sum_i (prod_j fmap(f_ij))^power: the equation under
-        a per-factor map, multiplied out after mapping the small factors, in
-        poly.fold_layout's one integer pass. Its multiplications share one
-        TermBudget (a scalar is one term), so past MAX_TERM_PRODUCTS in one
-        fold it raises SizeLimitError. A map to scalars, such as an
-        evaluation, gives a scalar."""
-        ring = self.ring
-        one = ring.one
-        scalars = not isinstance(fmap(one), MultiPoly)
+    def _expand(self, x: Mapping | None = None) -> MultiPoly:
+        """guard * sum_i (prod_j f_ij)^power multiplied out in
+        poly.fold_layout's one integer pass, after substituting x into each
+        small factor when given. Its multiplications share one TermBudget,
+        so past MAX_TERM_PRODUCTS it raises SizeLimitError."""
+        one = self.ring.one
 
         def value(f):
-            return ring.const(fmap(f)) if scalars else fmap(f)
+            return f if x is None else f.substitute(x)
 
         guard = None if _is_unit(self.guard) else value(self.guard)
         addends = [[value(f) for f in a or (one,)] for a in self.addends]
         budget = TermBudget(f"expanding the {self.shape.value} equation")
-        total = fold_layout(ring, guard, addends, self.power, budget)
-        return total.constant_value() if scalars else total
+        return fold_layout(self.ring, guard, addends, self.power, budget)
 
     @property
     def opaque(self) -> bool:
-        """No provenance, and the polynomial held whole as the guard over
-        one empty addend, as from_json loads an equation without one."""
-        return self.provenance is None and self.power == 1 and self.addends == ((),)
+        """No provenance, and the polynomial held whole as the one factor of
+        a product under the unit guard, as from_json loads an equation
+        without one."""
+        return (
+            self.provenance is None and self.power == 1 and _is_unit(self.guard)
+            and [len(a) for a in self.addends] == [1]
+        )
 
     def vanishes_at(self, x: Mapping) -> bool:
         """Whether the equation is zero at x, never multiplying a product
@@ -188,14 +187,13 @@ class QuantifiedEquation:
     @property
     def equation(self) -> MultiPoly:
         if self._equation is None:
-            self._equation = self.fold(lambda p: p)
+            self._equation = self._expand()
         return self._equation
 
     def substituted_equation(self, x: Mapping) -> MultiPoly:
         """Expanded equation after substituting free variables; kept small by
         substituting into the layout factors before multiplying out."""
-        x = dict(x)
-        return self.fold(lambda p: p.substitute(x))
+        return self._expand(dict(x))
 
     def construction(self) -> "QuantifiedEquation":
         """The equation itself when build_for_shape made it, directly or in
@@ -219,7 +217,6 @@ class ShapeSpec:
     fields: frozenset  # matrix fields it accepts
     power: int  # k in guard * sum_i (prod_j f_ij)^k
     bounds: Callable  # degree report counts -> [(bound, exact)] in prefix order
-    notes: tuple  # the witness recipe
     # the fields over which an equation that is not a construction is
     # decided, and the prefix kinds it must have; over any other field the
     # deciders take only the construction
@@ -245,49 +242,33 @@ SHAPE_SPECS: dict[Shape, ShapeSpec] = {
     Shape.EA_C: ShapeSpec(
         NormalForm.DNF, _EQ_NEQ, _C, 1,
         lambda c: [(c["d"], True), (c["e_total"], True)],
-        ("pick the first true clause i; a := 1/prod_k u_ik(x); any b works",),
         _C, ("exists", "forall"),
     ),
     Shape.AE_C: ShapeSpec(
         NormalForm.CNF, _EQ_NEQ, _C, 1,
         lambda c: [_node_bound(c), (c["f_max"] + 1, False)],
-        (
-            "at a = node i: b := 0 if some t_ij(x) = 0, else b := 1/u_ik(x) for a nonzero u",
-            "at a outside the nodes: b := 1/prod_i (a - i)",
-        ),
         _C, ("forall", "exists"),
     ),
     Shape.E_R: ShapeSpec(
         NormalForm.DNF, _EQ_NEQ, _RQ, 1,
         lambda c: [(2 * c["d"], True)],
-        ("pick the first true clause i; r := 1/prod_k u_ik(x)",),
         _R, ("exists",),
     ),
     Shape.Ed_R: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _RQ, 2,
         lambda c: [(4 * f, False) for f in c["f"]],
-        ("clause i: r_i := 0 if some t_ij(x) = 0, else r_i := sqrt(1/u_ik(x)) for a positive u",),
     ),
     Shape.AE_R: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _RQ, 1,
         lambda c: [_node_bound(c), (2 * c["f_max"] + 1, False)],
-        (
-            "at r = node i: s := 0 on a zero equation, else s := sqrt(1/u_ik(x))",
-            "at r outside the nodes: s := 1/prod_i (r - i)",
-        ),
     ),
     Shape.E3d_Q: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _Q, 2,
         lambda c: [(8 * f, False) for f in c["f"] for _ in range(3)],
-        ("clause i: block i := (0,0,0) on a zero equation, else the three-squares triple for u_ik(x)",),
     ),
     Shape.AE3_Q: ShapeSpec(
         NormalForm.CNF, _EQ_GT, _Q, 1,
         lambda c: [_node_bound(c), (4 * c["f_max"] + 1, False)] + [(4 * c["f_max"], False)] * 2,
-        (
-            "at v = node i: w := (0,0,0) on a zero equation, else the three-squares triple",
-            "at v outside the nodes: w1 := 1/prod_i (v - i), w2 = w3 = 0",
-        ),
     ),
 }
 
@@ -603,7 +584,9 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int:
     triangular: the degree is d - 1 - k at the first nonzero M_k, and 0 when
     M_0 .. M_(d-2) all vanish. Up to 8 seeded random points, drawn lazily and
     shared by every k, certify a nonzero moment cheaply; only when all of
-    them read zero is M_k expanded exactly, within one TermBudget.
+    them read zero is M_k expanded exactly, as one fold_layout of the
+    addends A_i * i^k. Each such k multiplies the clause products out again
+    and charges them to the check's one TermBudget.
     """
     d = len(qe.addends)
     tails = [addend[1:] for addend in qe.addends]
@@ -611,8 +594,7 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int:
     names = [v.name for v in ring.table.all_vars() if v.name != zu]
     rng = random.Random(9173)
     samples: list[list] = []  # the A_i at each point drawn so far
-    expanded: list[MultiPoly] | None = None
-    times = TermBudget(f"the exact degree check of the {qe.shape.value} selector sum").times
+    budget = TermBudget(f"the exact degree check of the {qe.shape.value} selector sum")
     for k in range(d - 1):
         for s in range(8):
             if s == len(samples):
@@ -622,9 +604,8 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int:
                 )
             if sum(i**k * a for i, a in enumerate(samples[s], start=1)):
                 return d - 1 - k
-        if expanded is None:
-            expanded = [reduce(times, tail, ring.one) for tail in tails]
-        if not sum((times(a, i**k) for i, a in enumerate(expanded, start=1)), ring.zero).is_zero():
+        moment = [[*t, ring.const(i**k)] for i, t in enumerate(tails, start=1)]
+        if not fold_layout(ring, None, moment, 1, budget).is_zero():
             return d - 1 - k
     return 0
 
@@ -702,20 +683,13 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
 # -- witnesses ------------------------------------------------------------------
 
 
-@dataclass
-class WitnessRecipe:
-    shape: Shape
-    matrix: ClauseMatrix
-    field: Field
-    notes: tuple
-    prefix: tuple
-
-
-def witness_recipe(qe: QuantifiedEquation) -> WitnessRecipe:
+def witness_recipe(qe: QuantifiedEquation) -> QuantifiedEquation:
+    """The equation itself, whose provenance, field and prefix
+    extract_witness reads; an equation without provenance raises
+    ValueError."""
     if qe.provenance is None:
         raise ValueError("witness recipe needs the provenance matrix")
-    notes = SHAPE_SPECS[qe.shape].notes
-    return WitnessRecipe(qe.shape, qe.provenance, qe.field, notes, qe.prefix)
+    return qe
 
 
 def _clause_true(m: ClauseMatrix, i: int, x: Mapping) -> bool:
@@ -752,35 +726,43 @@ def _clause_block(m: ClauseMatrix, i: int, x: Mapping, gadget: Gadget) -> tuple:
 
 
 def extract_witness(
-    recipe: WitnessRecipe,
+    qe: QuantifiedEquation,
     m: ClauseMatrix | None,
     x: Mapping,
     forall_value=None,
 ):
-    """Exact scalars for the exists variables, named by the prefix.
+    """Exact scalars for the exists variables of the construction qe (from
+    witness_recipe), named by its prefix, read from m, qe's provenance when
+    None. Three rules, by the matrix and the prefix:
 
-    A DNF construction takes 1/prod_k u_ik(x) at its first true clause i; an
-    exists-only CNF one takes one gadget block per clause; a forall-first one
-    takes clause i's block at the node i and, off the nodes, the value
-    1/prod_h (forall_value - h) that zeroes the guard, padded with zeros. For
-    these the caller supplies the forall value, which the returned
-    assignment includes. Square roots come back as SqrtValue markers."""
-    m = recipe.matrix if m is None else m
-    names = [n for _, n in recipe.prefix]
-    gadget = GADGETS[recipe.field]
+      DNF (EA_C, E_R): pick the first true clause i; the exists variable
+        takes 1/prod_k u_ik(x), and over C any forall value works.
+      exists-only CNF (Ed_R, E3d_Q): clause i's block is the gadget's zero
+        block where some t_ij(x) = 0, else the roots of the first gadget
+        whose literal u_ik(x) holds: sqrt(1/u) over R, the three-squares
+        triple over Q.
+      forall-first (AE_C, AE_R, AE3_Q): at the node i, clause i's block as
+        above (1/u over C); off the nodes, 1/prod_h (forall_value - h),
+        which zeroes the guard, padded with zeros. The caller supplies the
+        forall value, which the returned assignment includes.
+
+    Square roots come back as SqrtValue markers."""
+    m = qe.provenance if m is None else m
+    names = [n for _, n in qe.prefix]
+    gadget = GADGETS[qe.field]
     if m.kind is NormalForm.DNF:
         i = _first_true_clause(m, x)
         if i is None:
             raise NoWitnessError("formula is false at the point")
         return {names[0]: _inv_u_product(m, i, x)}
-    if not recipe.prefix or recipe.prefix[0][0] == "exists":
+    if not qe.prefix or qe.prefix[0][0] == "exists":
         blocks = [_clause_block(m, i, x, gadget) for i in range(m.d)]
         return dict(zip(names, (v for block in blocks for v in block)))
     if forall_value is None:
         raise MissingAssignmentError("forall value required for this shape")
     if not all(_clause_true(m, i, x) for i in range(m.d)):
         raise NoWitnessError("formula is false at the point")
-    alpha = recipe.matrix.ring.scalar(forall_value)
+    alpha = qe.ring.scalar(forall_value)
     node = _is_node(alpha, m.d)
     if node is None:
         block = (1 / _node_product(alpha, m.d), *gadget.zero[1:])
@@ -826,7 +808,8 @@ def from_json(text: str) -> QuantifiedEquation:
     rendering, and a file whose field, prefix or equation differs from the
     rebuild's is refused with ShapeUnsupportedError. The raw clause count
     is the file's counts.raw_d when it has one. Without provenance it is
-    opaque, its parsed polynomial only, which the complete deciders read."""
+    opaque: its parsed polynomial as the one factor of a product under the
+    unit guard, which the complete deciders read."""
     obj = json.loads(text)
     fld = Field(obj["field"])
     ring = PolyRing(fld)
@@ -855,7 +838,7 @@ def from_json(text: str) -> QuantifiedEquation:
     for _, n in prefix:
         ring.quantified(n)
     eq = parse_term(obj["equation"], ring)
-    qe = QuantifiedEquation(fld, prefix, shape, ring, guard=eq, addends=((),))
+    qe = QuantifiedEquation(fld, prefix, shape, ring, addends=((eq,),))
     qe._equation = eq
     return qe
 

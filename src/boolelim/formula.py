@@ -550,7 +550,11 @@ def _distribute(phi: Formula, want: NormalForm, limit: int):
     count being that of the plain distribution with no pruning or dedup.
     While they distribute, clauses are dicts from literal key to atom, so
     each leaf literal is keyed once. Dedup keeps the first clause of each
-    key set, which leaves as the tuple of its atoms."""
+    key set, which leaves as the tuple of its atoms. A limit below 1 is
+    refused with ValueError, since a matrix that no gather or product step
+    builds is never checked against it."""
+    if limit < 1:
+        raise ValueError(f"clause limit must be at least 1, got {limit}")
     conjunctive = want is NormalForm.DNF
 
     def product(lists):

@@ -161,6 +161,31 @@ def test_eliminate_clause_limit(tmp_path):
     assert code == EXIT_SIZE
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_a_clause_limit_below_1_exits_2(tmp_path, capsys, limit):
+    """y = 0 builds its one-clause matrix with no gather or product step,
+    so the limit is checked before any clause is."""
+    f = write(tmp_path, "f.txt", "y = 0")
+    code, got = run(["eliminate", "--field", "c", "--form", "ea", "--input", f,
+                     "--clause-limit", limit])
+    assert (code, got) == (EXIT_PARSE, "")
+    assert f"clause limit must be at least 1, got {limit}" in capsys.readouterr().err
+
+
+def test_a_sample_bound_below_1_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "f.txt", CROSS_NEQ)
+    _, payload = run(
+        ["eliminate", "--field", "c", "--form", "ae", "--input", f, "--output", "json"]
+    )
+    eq = write(tmp_path, "eq.json", payload)
+    for argv in (
+        ["decide", "--input", eq, "--refute", "--seed", "1", "--bound", "0", "--point", "y=1,z=1"],
+        ["verify", "--field", "c", "--form", "ea", "--input", f, "--seed", "1", "--bound", "0"],
+    ):
+        assert run(argv) == (EXIT_PARSE, "")
+        assert "needs bound >= 1, got bound 0" in capsys.readouterr().err
+
+
 def test_report_text(tmp_path):
     f = write(tmp_path, "f.txt", CROSS_ORDER)
     code, got = run(["report", "--field", "r", "--form", "ae", "--input", f])

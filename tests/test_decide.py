@@ -561,6 +561,9 @@ def test_equivalence_run_reports_disagreement():
 def test_verdict_and_plan_validation():
     with pytest.raises(ValueError):
         SamplePlan(seed=1, count=0)
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match=f"got bound {bound}"):
+            SamplePlan(seed=1, bound=bound)
     v = Verdict(VerdictKind.TRUE)
     assert str(v) == "TRUE"
 
@@ -584,7 +587,8 @@ def test_layout_walk_matches_expanded_equation():
                     x = sample_point(rng, fld, frees)
                     full = {**x, **sample_point(rng, fld, eq.quantified_names(), bound=3)}
                     value = eq.equation.evaluate(full)
-                    assert eq.fold(lambda f: f.evaluate(full)) == value, (shape, seed)
+                    at_full = eq.substituted_equation(full).constant_value()
+                    assert at_full == value, (shape, seed)
                     exists = {n: full[n] for q, n in eq.prefix if q == "exists"}
                     frees_and_forall = {n: v for n, v in full.items() if n not in exists}
                     assert check_witness(eq, frees_and_forall, exists) == (value == 0)

@@ -34,6 +34,7 @@ from boolelim.fixtures import (
     CROSS_ORDER,
     GOLDEN_CASES,
     build_case,
+    quadrant_fixture,
     rendered_equation,
 )
 from boolelim.formula import (
@@ -380,12 +381,10 @@ def test_degree_report_requires_provenance():
         degree_report(qe)
 
 
-def test_witness_recipe_notes_present():
+def test_witness_recipe_is_the_construction():
     for case in GOLDEN_CASES:
         qe = build_case(case)
-        rec = witness_recipe(qe)
-        assert rec.shape is qe.shape
-        assert rec.notes and all(isinstance(n, str) for n in rec.notes)
+        assert witness_recipe(qe) is qe
 
 
 def test_extract_witness_false_point_raises():
@@ -495,3 +494,19 @@ def test_latex_of_deserialized_equation_shows_the_polynomial():
         back = from_json(json.dumps(obj))
         body = render_poly_latex(back.equation, back.quantified_names())
         assert f"\\Big[{body}\\Big]" in to_latex(back), case.name
+
+
+def test_an_opaque_equation_is_a_one_factor_product():
+    """Loaded without provenance, an equation has the quadrant fixture's
+    layout, its polynomial as the one factor under the unit guard, and its
+    LaTeX is one bracket."""
+    qe = from_json(json.dumps({
+        "field": "R", "prefix": [["exists", "r"]], "vars": ["y"],
+        "equation": "r^2 - y", "shape": "E_R", "counts": {},
+    }))
+    for eq in (qe, quadrant_fixture()):
+        assert eq.opaque
+        assert (eq.guard, eq.power) == (eq.ring.one, 1)
+        assert [len(a) for a in eq.addends] == [1]
+        assert to_latex(eq).count("\\Big[") == 1
+    assert to_latex(qe) == "\\exists r\\; \\Big[r^{2} - y\\Big] = 0"

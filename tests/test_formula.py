@@ -228,6 +228,11 @@ def test_clause_limit_enforced():
         to_dnf(phi, limit=100)
     m = to_dnf(phi, limit=256)
     assert m.d == 256
+    # y = 0 takes no gather or product step, so no clause meets the limit
+    for normal_form in (to_dnf, to_cnf):
+        for limit in (0, -5):
+            with pytest.raises(ValueError, match="clause limit must be at least 1"):
+                normal_form(parse("y = 0", Field.Q), limit)
 
 
 def test_random_formula_deterministic():

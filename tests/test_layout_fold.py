@@ -1,6 +1,6 @@
 """The one-pass integer fold of an equation's layout and the packed render.
 
-`QuantifiedEquation.fold` multiplies guard * sum_i (prod_j f_ij)^power out
+`QuantifiedEquation.equation` multiplies guard * sum_i (prod_j f_ij)^power out
 on packed integer terms; here it is compared with the same layout multiplied
 out by plain MultiPoly products and sums, for every shape and for hand-made
 layouts with a non-unit guard under a square, shared factors and mixed
@@ -77,10 +77,11 @@ def test_the_fold_equals_plain_products_and_sums():
     assert {s[1:] for s in seen} == {(1, False), (1, True), (2, False), (2, True)}
 
 
-def test_a_fold_to_scalars_is_the_scalar_value():
+def test_a_full_point_substitution_is_the_scalar_value():
     for qe in hand_made_layouts():
         point = {"x": gaussian(1, -2), "y": Fraction(3, 5), "a": gaussian(0, 1)}
-        assert qe.fold(lambda f: f.evaluate(point)) == qe.equation.evaluate(point)
+        value = qe.substituted_equation(point).constant_value()
+        assert value == qe.equation.evaluate(point)
 
 
 def _fold_spent(qe, monkeypatch):
@@ -95,7 +96,7 @@ def _fold_spent(qe, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(elim, "TermBudget", Recorded)
         try:
-            qe.fold(lambda f: f)
+            qe._expand()
             fired = False
         except SizeLimitError:
             fired = True

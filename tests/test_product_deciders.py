@@ -156,13 +156,13 @@ def test_empty_matrices_decide_like_their_expansion(shape, fld, decider, oracle)
 
 def _no_folds(monkeypatch) -> list:
     calls = []
-    fold = QuantifiedEquation.fold
+    expand = QuantifiedEquation._expand
 
-    def counting(self, fmap):
+    def counting(self, x=None):
         calls.append(self.shape)
-        return fold(self, fmap)
+        return expand(self, x)
 
-    monkeypatch.setattr(QuantifiedEquation, "fold", counting)
+    monkeypatch.setattr(QuantifiedEquation, "_expand", counting)
     return calls
 
 

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from boolelim import poly
-from boolelim.cli import EXIT_PARSE, EXIT_SIZE, main
+from boolelim.cli import EXIT_OK, EXIT_PARSE, EXIT_SIZE, main
 from boolelim.elim import Shape, compile_formula
 from boolelim.errors import SizeLimitError
 from boolelim.formula import parse, parse_term
@@ -84,6 +84,21 @@ def test_exact_degree_check_past_the_budget_exits_4_at_once(monkeypatch, argv):
     t0 = time.perf_counter()
     assert _cli(monkeypatch, argv, _cancelling_clauses(3, 70)) == EXIT_SIZE
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_exact_degree_check_of_nine_cancelling_equations_is_quick(monkeypatch):
+    """Nine three-term equations per clause: the check multiplies out one
+    moment, two 19,683-term clause products, in one integer pass, and
+    finds it zero, so the forall degree is below 2d - 1 and not exact."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_cancelling_clauses(9, 3)))
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    assert main(["report", "--field", "c", "--form", "ae", "--output", "json"], out=out) == EXIT_OK
+    assert time.perf_counter() - t0 < 0.3
+    rep = json.loads(out.getvalue())
+    assert (rep["degrees"], rep["bounds"], rep["exact"]) == (
+        {"a": 2, "b": 1}, {"a": 3, "b": 1}, {"a": False, "b": False}
+    )
 
 
 _LITERALS = r"x1 + y1 + 1 != 0 /\ x2 + y2 + 1 != 0 /\ z + 1 = 0"
