@@ -128,12 +128,7 @@ def _parse_gaussian(text: str) -> GaussianRational:
             break
     else:
         re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = Fraction(im_part)
+    im = Fraction({"": "1", "+": "1", "-": "-1"}.get(im_part, im_part))
     re = Fraction(re_part) if re_part else Fraction(0)
     return GaussianRational(re, im)
 
@@ -147,10 +142,7 @@ def _parse_point(text: str, fld: Field) -> dict:
         if "=" not in piece:
             raise ValueError(f"point entry {piece!r} is not name=value")
         name, val = piece.split("=", 1)
-        if fld is Field.C:
-            point[name.strip()] = _parse_gaussian(val)
-        else:
-            point[name.strip()] = _parse_fraction(val)
+        point[name.strip()] = _parse_gaussian(val) if fld is Field.C else _parse_fraction(val)
     return point
 
 

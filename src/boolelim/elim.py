@@ -73,6 +73,7 @@ from .formula import (
     NormalForm,
     Rel,
     eval_formula,
+    is_identifier,
     make_atom,
     parse,
     parse_term,
@@ -89,6 +90,7 @@ from .poly import (
     fold_layout,
     render_poly,
     render_poly_latex,
+    weighted_sums,
 )
 
 
@@ -148,7 +150,7 @@ class QuantifiedEquation:
         guard = None if _is_unit(self.guard) else value(self.guard)
         addends = [[value(f) for f in a or (one,)] for a in self.addends]
         budget = TermBudget(f"expanding the {self.shape.value} equation")
-        return fold_layout(self.ring, guard, addends, self.power, budget)
+        return fold_layout(self.ring, guard, addends, self.power, budget, self.quantified_names())
 
     @property
     def opaque(self) -> bool:
@@ -186,6 +188,10 @@ class QuantifiedEquation:
 
     @property
     def equation(self) -> MultiPoly:
+        """The expanded equation, computed once and cached: a poly.PackedPoly,
+        integer numerators over one denominator packed in render order for
+        the quantified names, which to_json, from_json's compare and the text
+        output render directly; its term dict is built only when read."""
         if self._equation is None:
             self._equation = self._expand()
         return self._equation
@@ -584,17 +590,19 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int:
     triangular: the degree is d - 1 - k at the first nonzero M_k, and 0 when
     M_0 .. M_(d-2) all vanish. Up to 8 seeded random points, drawn lazily and
     shared by every k, certify a nonzero moment cheaply; only when all of
-    them read zero is M_k expanded exactly, as one fold_layout of the
-    addends A_i * i^k. Each such k multiplies the clause products out again
-    and charges them to the check's one TermBudget.
+    them read zero is M_k computed exactly: poly.weighted_sums multiplies
+    each A_i out once, packed and charged to the check's one TermBudget, and
+    forms each moment from those by integer scaling.
     """
     d = len(qe.addends)
-    tails = [addend[1:] for addend in qe.addends]
     ring = qe.ring
+    tails = [addend[1:] or (ring.one,) for addend in qe.addends]
     names = [v.name for v in ring.table.all_vars() if v.name != zu]
     rng = random.Random(9173)
     samples: list[list] = []  # the A_i at each point drawn so far
     budget = TermBudget(f"the exact degree check of the {qe.shape.value} selector sum")
+    weights = ([i**k for i in range(1, d + 1)] for k in range(d - 1))
+    moments = weighted_sums(ring, tails, budget, weights)  # taken in order of k
     for k in range(d - 1):
         for s in range(8):
             if s == len(samples):
@@ -604,8 +612,7 @@ def _universal_degree(qe: QuantifiedEquation, zu: str) -> int:
                 )
             if sum(i**k * a for i, a in enumerate(samples[s], start=1)):
                 return d - 1 - k
-        moment = [[*t, ring.const(i**k)] for i, t in enumerate(tails, start=1)]
-        if not fold_layout(ring, None, moment, 1, budget).is_zero():
+        if not next(moments).is_zero():
             return d - 1 - k
     return 0
 
@@ -646,18 +653,10 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
     m = qe.provenance
     if m is None:
         raise ValueError("degree report needs the provenance matrix")
-    d = m.d
-    e_counts = list(m.e_counts)
-    f_counts = list(m.f_counts)
-    e_total = sum(e_counts)
-    f_max = max(f_counts, default=0)
+    d, e_counts, f_counts = m.d, list(m.e_counts), list(m.f_counts)
     counts = {
-        "d": d,
-        "e": e_counts,
-        "f": f_counts,
-        "e_total": e_total,
-        "f_max": f_max,
-        "raw_d": m.raw_clause_count,
+        "d": d, "e": e_counts, "f": f_counts, "e_total": sum(e_counts),
+        "f_max": max(f_counts, default=0), "raw_d": m.raw_clause_count,
     }
     degrees, full = _measured_degrees(qe)
     claims = dict(zip(qe.quantified_names(), SHAPE_SPECS[qe.shape].bounds(counts)))
@@ -670,13 +669,10 @@ def degree_report(qe: QuantifiedEquation) -> DegreeReport:
         # the selectors are monic of degree d - 1, so the forall degree is
         # 2d - 1 only when the A_i do not sum to zero; else 2d - 1 bounds it
         exact[qe.prefix[0][1]] = False
-    ok = True
-    for z, dv in degrees.items():
-        b = bounds.get(z, 0)
-        if exact.get(z, False):
-            ok = ok and dv == b
-        else:
-            ok = ok and dv <= b
+    ok = all(
+        dv == bounds.get(z, 0) if exact.get(z, False) else dv <= bounds.get(z, 0)
+        for z, dv in degrees.items()
+    )
     return DegreeReport(qe.shape, degrees, bounds, exact, counts, ok)
 
 
@@ -777,14 +773,9 @@ def extract_witness(
 def to_json(qe: QuantifiedEquation) -> str:
     names = list(qe.quantified_names())
     m = qe.provenance
-    counts = {}
-    if m is not None:
-        counts = {
-            "d": m.d,
-            "e": list(m.e_counts),
-            "f": list(m.f_counts),
-            "raw_d": m.raw_clause_count,
-        }
+    counts = {} if m is None else {
+        "d": m.d, "e": list(m.e_counts), "f": list(m.f_counts), "raw_d": m.raw_clause_count
+    }
     obj = {
         "field": qe.field.value,
         "prefix": [[q, n] for q, n in qe.prefix],
@@ -806,16 +797,25 @@ def from_json(text: str) -> QuantifiedEquation:
     rebuilds it from the recorded matrix, so it is its own construction();
     the file's equation text is not parsed, only compared with the rebuild's
     rendering, and a file whose field, prefix or equation differs from the
-    rebuild's is refused with ShapeUnsupportedError. The raw clause count
+    rebuild's is refused with ShapeUnsupportedError. Each prefix entry must
+    be ["exists"|"forall", name] and every name and vars entry a string
+    that tokenizes as one identifier, else ValueError. The raw clause count
     is the file's counts.raw_d when it has one. Without provenance it is
     opaque: its parsed polynomial as the one factor of a product under the
     unit guard, which the complete deciders read."""
     obj = json.loads(text)
     fld = Field(obj["field"])
     ring = PolyRing(fld)
-    for name in obj.get("vars", ()):
+    names, prefix = obj.get("vars", []), obj["prefix"]
+    if not (isinstance(names, list) and all(map(is_identifier, names))):
+        raise ValueError(f"vars must be a list of identifiers, not {names!r}")
+    for entry in prefix if isinstance(prefix, list) else [prefix]:
+        if not (isinstance(entry, list) and len(entry) == 2 and entry[0] in ("exists", "forall")
+                and is_identifier(entry[1])):
+            raise ValueError(f'a prefix entry must be ["exists"|"forall", name], not {entry!r}')
+    for name in names:
         ring.var(name)
-    prefix = tuple((q, n) for q, n in obj["prefix"])
+    prefix = tuple((q, n) for q, n in prefix)
     shape = Shape(obj["shape"])
     prov = obj.get("provenance")
     if prov is not None:

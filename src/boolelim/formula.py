@@ -177,6 +177,11 @@ _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = _re.compile(r"\d+")
 
 
+def is_identifier(name) -> bool:
+    """Whether name is a str that tokenizes as one identifier."""
+    return isinstance(name, str) and bool(_IDENT_RE.fullmatch(name)) and name not in _KEYWORDS
+
+
 @dataclass(frozen=True)
 class _Tok:
     kind: str

@@ -3,23 +3,23 @@
 Polynomials are dicts mapping monomials (sorted tuples of (variable index,
 exponent) pairs, exponents > 0) to nonzero scalars. Every polynomial belongs
 to a PolyRing, which fixes the coefficient field and owns the variable table;
-mixing rings raises. The canonical text rendering sorts terms graded
-lexicographically with quantified variables ranked before free ones, which is
-what the golden files and the JSON round-trip rely on; each term's place
-comes from one packed int (its exponents in significance order under its
-total degree), so the sort compares ints. Text and LaTeX are one term walk; a
-small style record says how each spells numbers (from numerator and
-denominator), the imaginary unit, mixed Gaussians, products and powers.
+mixing rings raises.
 
-Products, powers and the expansion of an equation's layout go through one
-integer kernel, _packed_product. A one-term operand scales and shifts the
-other's terms; otherwise each operand is cleared to integer numerators
-(Gaussian integer pairs over C) over one denominator, its monomials are
-packed into one int each with a field per variable as wide as the largest
-exponent sum needs, and the numerators accumulate as ints; a square takes
-each cross pair once. fold_layout keeps a whole layout packed, with one
-running denominator, through its products, squares and sum, so field
-scalars and monomial tuples are built once, for the result.
+Products, powers and expansions go through one integer kernel,
+_packed_product: each operand is cleared to integer numerators (Gaussian
+integer pairs over C) over one denominator and each monomial packed into one
+int, so a monomial product is one int addition; a one-term operand only
+scales and shifts the other's terms. fold_layout keeps a whole layout packed
+and returns a PackedPoly, whose keys hold the exponents in render order under
+the total degree, so each key is its own sort key; its term dict of monomial
+tuples and field scalars is built only when read.
+
+Text and LaTeX are one walk over packed terms, any other polynomial packed
+the same way first: terms graded lexicographically with the quantified
+variables ranked before free ones, which the golden files and the JSON round
+trip rely on, each distinct numerator spelled once, as n/g over den/g. A
+style record says how each spells numbers, the imaginary unit, mixed
+Gaussians, products and powers.
 
 Evaluation and substitution are one term walk that multiplies each bound
 variable's power into the coefficient. Both coerce an int, Fraction or
@@ -72,7 +72,6 @@ MAX_TERM_PRODUCTS = 1 << 18
 MAX_NESTING_DEPTH = 100
 
 Scalar = Union[Fraction, GaussianRational]
-Mono = tuple  # tuple[tuple[int, int], ...]
 _EXACT = (int, Fraction, GaussianRational)  # point values coerced into a ring
 _UNBOUND = object()  # a variable the bindings leave in the monomial
 
@@ -81,9 +80,8 @@ class TermBudget:
     """The term products one parsed product chain or power, one construction,
     one expansion or one exact degree check has spent against
     MAX_TERM_PRODUCTS, a scalar counting as one term. `charge` counts m * n
-    products before they are taken and raises SizeLimitError naming `what`
-    once the total passes the budget; `times` charges a product of two
-    operands and takes it."""
+    products before they are taken, raising SizeLimitError naming `what`
+    past the budget; `times` charges a product of two operands and takes it."""
 
     def __init__(self, what: str):
         self.what = what
@@ -175,20 +173,14 @@ class VarTable:
 
 
 def _coerce_scalar(fld: Field, x) -> Scalar:
-    if fld is Field.C:
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational.of(x)
-        raise FieldMismatchError(f"cannot coerce {x!r} into C")
     if isinstance(x, GaussianRational):
-        if x.im != 0:
+        if fld is not Field.C and x.im != 0:
             raise FieldMismatchError(f"non-real scalar {x} in field {fld.value}")
-        return x.re
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
+        return x if fld is Field.C else x.re
+    if isinstance(x, (int, Fraction)):
+        if fld is Field.C:
+            return GaussianRational.of(x)
+        return Fraction(x) if isinstance(x, int) else x
     raise FieldMismatchError(f"cannot coerce {x!r} into {fld.value}")
 
 
@@ -223,9 +215,7 @@ class PolyRing:
         return _coerce_scalar(self.field, x)
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     if not m2:
         return m1
     out = dict(m1)
@@ -234,13 +224,11 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(out.items()))
 
 
-def _product(fld: Field, a: dict, b: dict) -> dict:
+def _product(ring: PolyRing, a: dict, b: dict) -> dict:
     """The terms of the product of the term dicts a and b. A one-term
-    operand scales and shifts the other's terms, which stay distinct and
-    nonzero. Otherwise both go through the packed kernel: each is cleared
-    once to integer numerators over one denominator, its monomials packed
-    at a field width that holds the largest exponent sum, and multiplied by
-    _packed_product, a square (a is b) taking each cross pair once."""
+    operand scales and shifts the other's terms; otherwise _packed_product
+    multiplies them packed, variable i at bit i * width (a square, a is b,
+    takes each cross pair once)."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) <= 1:
@@ -251,35 +239,45 @@ def _product(fld: Field, a: dict, b: dict) -> dict:
             return {m: c1 * c for m, c in b.items()}
         return {_mono_mul(m1, m): c1 * c for m, c in b.items()}
     width = (_top_exponent(a) + _top_exponent(b)).bit_length()
-    gauss = fld is Field.C
-    da, pa = _packed(a, width, gauss)
-    db, pb = (da, pa) if a is b else _packed(b, width, gauss)
-    return _unpacked_terms(_packed_product(pa, pb, gauss), da * db, width, gauss)
-
-
-def fold_layout(ring: PolyRing, guard, addends: list, power: int, budget: TermBudget):
-    """The MultiPoly guard * sum_i (prod_j f_ij)^power multiplied out in one
-    integer pass, for a guard (None for the unit) and one non-empty list of
-    factors f_ij per addend. Each distinct factor (by identity) is cleared
-    and packed once, at one field width that holds the largest exponent the
-    whole layout can reach; every addend's products, then the squares, the
-    sum and the guard's product run on packed integer terms with one
-    running denominator, and field scalars and monomial tuples are built
-    once, for the result. The budget is charged before each product with
-    the term counts the MultiPoly products would have, in their order, a
-    square as len^2, so SizeLimitError fires where theirs would."""
+    order = range(len(ring.table.all_vars()))
+    unit = [1 << i * width for i in order]
     gauss = ring.field is Field.C
-    # the largest exponent any product, square or sum below can reach
+    da, pa = _packed(a, unit, gauss)
+    db, pb = (da, pa) if a is b else _packed(b, unit, gauss)
+    return _unpacked_terms(_packed_product(pa, pb, gauss), da * db, gauss, width, order)
+
+
+def fold_layout(ring: PolyRing, guard, addends: list, power: int, budget: TermBudget,
+                quantified: Sequence[str] = ()) -> "PackedPoly":
+    """The PackedPoly guard * sum_i (prod_j f_ij)^power, packed in render order for
+    the quantified names, a guard None for the unit, no addend empty."""
+    return next(_folds(ring, guard, addends, power, budget, quantified, [None]))
+
+
+def weighted_sums(ring: PolyRing, addends: list, budget: TermBudget, weights: Iterable):
+    """For each list of ints w in weights, the PackedPoly sum_i w_i * prod_j f_ij;
+    the products are taken and charged once, before the first sum."""
+    return _folds(ring, None, addends, 1, budget, (), weights)
+
+
+def _folds(ring, guard, addends, power, budget, quantified, weights):
+    """guard * sum_i w_i * (prod_j f_ij)^power for each w in weights (None for
+    all ones), each distinct factor (by identity) packed once, at a width
+    for the largest exponent reachable. The budget is charged before each
+    product as the MultiPoly products would be, in order, a square as len^2
+    and the guard's last, so SizeLimitError fires where theirs would."""
+    gauss = ring.field is Field.C
     reach = power * max((sum(_top_exponent(f.terms) for f in a) for a in addends), default=0)
     if guard is not None:
         reach += _top_exponent(guard.terms)
     width = reach.bit_length()
+    unit, order = _layout(ring, quantified, range(len(ring.table.all_vars())), width)
     packed: dict = {}
 
     def pack(f):
         p = packed.get(id(f))
         if p is None:
-            p = packed[id(f)] = _packed(f.terms, width, gauss)
+            p = packed[id(f)] = _packed(f.terms, unit, gauss)
         return p
 
     values = []
@@ -295,29 +293,50 @@ def fold_layout(ring: PolyRing, guard, addends: list, power: int, budget: TermBu
         for k, (d, acc) in enumerate(values):
             budget.charge(len(acc), len(acc))
             values[k] = d * d, _packed_product(acc, acc, gauss)
-    den, total = _packed_sum(values, gauss)
-    if guard is not None:
-        dg, pg = pack(guard)
-        budget.charge(len(pg), len(total))
-        total = _packed_product(pg, total, gauss)
-        den *= dg
-    return MultiPoly(ring, _unpacked_terms(total, den, width, gauss))
+    for w in weights:
+        den, total = _packed_sum(values, gauss, w)
+        if guard is not None:
+            dg, pg = pack(guard)
+            budget.charge(len(pg), len(total))
+            total = _packed_product(pg, total, gauss)
+            den *= dg
+        yield PackedPoly(ring, den, total, width, order, tuple(quantified))
 
 
 def _top_exponent(t: dict) -> int:
     return max((e for m in t for _, e in m), default=0)
 
 
-def _packed(t: dict, width: int, gauss: bool) -> tuple[int, dict]:
+def _layout(ring: PolyRing, quantified: Sequence[str], indices, width: int) -> tuple[dict, list]:
+    """(unit, order) packing monomials in the variable indices in render order:
+    fields of the width by significance, highest first (the quantified names
+    in their order, other quantified variables, then free ones, both by
+    name), and one more field above them all for the total degree. unit[i]
+    is one at the low bit of variable i's field and of the degree field, so
+    adding two keys multiplies two monomials, and a greater key renders
+    earlier. order lists the indices field by field from the lowest."""
+    qrank = {name: k for k, name in enumerate(quantified)}
+    table = ring.table.all_vars()
+
+    def rank(i):
+        v = table[i]
+        return (0, qrank[v.name]) if v.name in qrank else (2 - v.quantified, v.name)
+
+    order = sorted(indices, key=rank, reverse=True)
+    top = 1 << len(order) * width
+    return {i: (1 << p * width) + top for p, i in enumerate(order)}, order
+
+
+def _packed(t: dict, unit, gauss: bool) -> tuple[int, dict]:
     """(den, {packed monomial: numerator}) with each coefficient of t its
-    numerator over den, an (re, im) pair over C; variable i's exponent sits
-    at bit i * width of the packed monomial."""
+    numerator over den, an (re, im) pair over C; a monomial packs as the
+    sum of e * unit[i] over its (i, e)."""
     den, nums = _integers(list(t.values()), gauss)
     keys = []
     for m in t:
         k = 0
         for i, e in m:
-            k += e << i * width
+            k += e * unit[i]
         keys.append(k)
     return den, dict(zip(keys, nums))
 
@@ -370,51 +389,53 @@ def _packed_product(a: dict, b: dict, gauss: bool) -> dict:
     return {k: (n, imag[k]) for k, n in acc.items() if n or imag[k]}
 
 
-def _packed_sum(values: list, gauss: bool) -> tuple[int, dict]:
-    """(den, terms) of the sum of the packed term dicts t / d over the (d, t)
-    in values, den the lcm of the d; a term that cancels is left out."""
-    if len(values) == 1:
-        return values[0]
+def _packed_sum(values: list, gauss: bool, weights=None) -> tuple[int, dict]:
+    """(den, terms) of the sum of w * t / d over the (d, t) in values and
+    the ints w in weights (all 1 when None), den the lcm of the d; a term
+    that cancels is left out."""
+    if weights is None:
+        if len(values) == 1:
+            return values[0]
+        weights = [1] * len(values)
     den = math.lcm(*(d for d, _ in values))
     out: dict = {}
     get = out.get
     if gauss:
-        for d, t in values:
-            s = den // d
+        for (d, t), w in zip(values, weights):
+            s = den // d * w
             for k, (r, i) in t.items():
                 z = get(k, (0, 0))
                 out[k] = (z[0] + r * s, z[1] + i * s)
         return den, {k: z for k, z in out.items() if z[0] or z[1]}
-    for d, t in values:
-        s = den // d
+    for (d, t), w in zip(values, weights):
+        s = den // d * w
         for k, n in t.items():
             out[k] = get(k, 0) + n * s
     return den, {k: n for k, n in out.items() if n}
 
 
-def _unpacked_terms(t: dict, den: int, width: int, gauss: bool) -> dict:
-    """The term dict of the packed terms t over den: monomial tuples, and
-    one field scalar per distinct numerator, which the terms share."""
+def _unpacked_terms(packed: dict, den: int, gauss: bool, width: int, order) -> dict:
+    """The term dict of packed terms over den, order giving each field's variable
+    index (sorted unless a range), with one field scalar per distinct numerator."""
     if gauss:
-        parts = {x for z in t.values() for x in z}
-        fracs = {n: Fraction(n, den) for n in parts}
-        scalars = {z: GaussianRational(fracs[z[0]], fracs[z[1]]) for z in set(t.values())}
+        fracs = {x: Fraction(x, den) for x in {x for z in packed.values() for x in z}}
+        scalars = {z: GaussianRational(fracs[z[0]], fracs[z[1]]) for z in set(packed.values())}
     else:
-        scalars = {n: Fraction(n, den) for n in set(t.values())}
-    return {_unpacked(k, width): scalars[n] for k, n in t.items()}
-
-
-def _unpacked(k: int, width: int) -> Mono:
-    mask = (1 << width) - 1
-    m = []
-    i = 0
-    while k:
-        e = k & mask
-        if e:
-            m.append((i, e))
-        k >>= width
-        i += 1
-    return tuple(m)
+        scalars = {n: Fraction(n, den) for n in set(packed.values())}
+    mask, low = (1 << width) - 1, (1 << len(order) * width) - 1  # low: no degree field
+    ordered = type(order) is range
+    terms = {}
+    for k, n in packed.items():
+        k &= low
+        m = []
+        p = 0
+        while k:
+            if e := k & mask:
+                m.append((order[p], e))
+            k >>= width
+            p += 1
+        terms[tuple(m) if ordered else tuple(sorted(m))] = scalars[n]
+    return terms
 
 
 def _integers(cs: list, gauss: bool) -> tuple[int, list]:
@@ -433,8 +454,7 @@ class MultiPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
+        self.ring, self.terms = ring, terms
 
     # -- queries ---------------------------------------------------------
 
@@ -457,19 +477,10 @@ class MultiPoly:
         return max(sum(e for _, e in m) for m in self.terms)
 
     def degree_in(self, name: str):
-        if not self.terms or not self.ring.table.has(name):
-            return NEG_INF if not self.terms else 0
-        idx = self.ring.table.get(name).index
-        best = NEG_INF
-        for m in self.terms:
-            d = 0
-            for i, e in m:
-                if i == idx:
-                    d = e
-                    break
-            if d > best:
-                best = d
-        return best
+        if not self.terms:
+            return NEG_INF
+        idx = self.ring.table.get(name).index if self.ring.table.has(name) else -1
+        return max((e for m in self.terms for i, e in m if i == idx), default=0)
 
     def variables(self) -> set[str]:
         names = self.ring.table
@@ -477,14 +488,9 @@ class MultiPoly:
 
     def key(self):
         """Ring-independent identity: field plus name-keyed terms."""
-        names = self.ring.table
-        items = tuple(
-            sorted(
-                (tuple(sorted((names.name_of(i), e) for i, e in m)), c)
-                for m, c in self.terms.items()
-            )
-        )
-        return (self.ring.field, items)
+        name_of = self.ring.table.name_of
+        items = ((tuple(sorted((name_of(i), e) for i, e in m)), c) for m, c in self.terms.items())
+        return (self.ring.field, tuple(sorted(items)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -528,7 +534,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        return MultiPoly(self.ring, _product(self.ring.field, self.terms, self._coerce(other).terms))
+        return MultiPoly(self.ring, _product(self.ring, self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -603,33 +609,30 @@ class MultiPoly:
         return f"<poly {self.render()}>"
 
 
+class PackedPoly(MultiPoly):
+    """A MultiPoly as fold_layout builds it: integer numerators ((re, im) pairs
+    over C) over one denominator den, keyed by monomials packed by _layout; it
+    renders from these and builds its term dict on the first read of .terms."""
+
+    __slots__ = ("den", "packed", "width", "order", "quantified")
+
+    def __init__(self, ring, den, packed, width, order, quantified):
+        self.ring, self.den, self.packed = ring, den, packed
+        self.width, self.order, self.quantified = width, order, quantified
+
+    def __getattr__(self, name):
+        """.terms, built on its first read."""
+        if name != "terms":
+            raise AttributeError(name)
+        gauss = self.ring.field is Field.C
+        self.terms = terms = _unpacked_terms(self.packed, self.den, gauss, self.width, self.order)
+        return terms
+
+    def is_zero(self) -> bool:
+        return not self.packed
+
+
 # -- canonical rendering ---------------------------------------------------
-
-
-def _significance(ring: PolyRing, quantified: Sequence[str], indices) -> dict[int, tuple]:
-    """The rank of each variable index: the quantified names in the given
-    order, then other quantified variables, then free ones, both by name, so
-    the rendering does not depend on the order the table registered them in."""
-    qrank = {name: k for k, name in enumerate(quantified)}
-    table = ring.table.all_vars()
-    ranks = {}
-    for i in indices:
-        v = table[i]
-        if v.name in qrank:
-            ranks[i] = (0, qrank[v.name], "")
-        else:
-            ranks[i] = (1 if v.quantified else 2, 0, v.name)
-    return ranks
-
-
-def _text_number(n: int, d: int) -> str:
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
-def _latex_number(n: int, d: int) -> str:
-    if d == 1:
-        return str(n)
-    return f"{'-' if n < 0 else ''}\\tfrac{{{abs(n)}}}{{{d}}}"
 
 
 @dataclass(frozen=True)
@@ -644,71 +647,87 @@ class _Style:
     power: str
 
 
-_TEXT = _Style(_text_number, "{}*i", "({}{}{})", ("*", "*"), "*", "{}^{}")
-_LATEX = _Style(_latex_number, "{}i", "({} {} {})", (" ", ""), " ", "{}^{{{}}}")
+_TEXT = _Style(lambda n, d: str(n) if d == 1 else f"{n}/{d}",
+               "{}*i", "({}{}{})", ("*", "*"), "*", "{}^{}")
+_LATEX = _Style(
+    lambda n, d: str(n) if d == 1 else f"{'-' if n < 0 else ''}\\tfrac{{{abs(n)}}}{{{d}}}",
+    "{}i", "({} {} {})", (" ", ""), " ", "{}^{{{}}}",
+)
 
 
-def _coeff_pieces(c: Scalar, style: _Style) -> tuple[bool, str]:
-    """(negative, magnitude text) for a coefficient, spelled from numerators
-    and denominators; a mixed Gaussian is not negative."""
-    if isinstance(c, GaussianRational):
-        re, im = c.re, c.im
-        if im:
-            n, d = im.numerator, im.denominator
-            im_s = "i" if d == 1 and abs(n) == 1 else style.imag.format(style.number(abs(n), d))
-            if not re:
-                return n < 0, im_s
-            op = "+" if n > 0 else "-"
-            return False, style.mixed.format(style.number(re.numerator, re.denominator), op, im_s)
-        c = re
-    n = c.numerator
-    return n < 0, style.number(abs(n), c.denominator)
+def _spell(n, den: int, style: _Style) -> tuple[bool, str, str]:
+    """(negative, lead, magnitude) of the coefficient n / den, n an (re, im)
+    pair over C, each part reduced by its gcd with den; lead is what stands
+    before a monomial, nothing for 1; a mixed Gaussian is not negative."""
+    re, im = n if type(n) is tuple else (n, 0)
+    g, h = math.gcd(re, den), math.gcd(im, den)
+    body = style.number(abs(re) // g, den // g)
+    if im:
+        ims = "i" if abs(im) == den else style.imag.format(style.number(abs(im) // h, den // h))
+        if re:
+            ims = style.mixed.format(style.number(re // g, den // g), "+" if im > 0 else "-", ims)
+        body = ims
+    neg = re < 0 and not im or im < 0 and not re
+    return neg, "" if body == "1" else body + style.times[body.endswith(")")], body
 
 
 def _render(p: MultiPoly, quantified: Sequence[str], style: _Style) -> str:
     """Terms in canonical order, total degree then lex on significance, and
-    each monomial's variables by significance. Each distinct (variable,
-    exponent) pair is looked at once, for its text, its rank and its share
-    of a packed sort key: the exponents sit in fields of one width in
-    significance order, the most significant highest, with the total degree
-    in a field above them, so a term's key is the sum of its pairs' shares
-    and one int comparison orders two terms."""
-    if not p.terms:
+    each monomial's variables by significance: p packed by _layout, unless
+    it already is, sorted by key, each distinct numerator spelled once."""
+    quantified = tuple(quantified)
+    if not (isinstance(p, PackedPoly) and p.quantified == quantified):
+        t = p.terms
+        width = _top_exponent(t).bit_length()
+        unit, order = _layout(p.ring, quantified, {i for m in t for i, _ in m}, width)
+        den, packed = _packed(t, unit, p.ring.field is Field.C)
+        p = PackedPoly(p.ring, den, packed, width, order, quantified)
+    if not p.packed:
         return "0"
-    pairs = {q for m in p.terms for q in m}
-    ranks = _significance(p.ring, quantified, {i for i, _ in pairs})
-    pos = {i: k for k, i in enumerate(sorted(ranks, key=ranks.__getitem__))}
-    width = max((e for _, e in pairs), default=0).bit_length()
-    top = len(pos) * width
-    name_of = p.ring.table.name_of
-    share = {}
-    rank = {}
-    text = {}
-    for q in pairs:
-        i, e = q
-        share[q] = (e << (top - (pos[i] + 1) * width)) + (e << top)
-        rank[q] = pos[i]
-        text[q] = name_of(i) if e == 1 else style.power.format(name_of(i), e)
-    by_key = {sum(map(share.__getitem__, m)): (m, c) for m, c in p.terms.items()}
-    # the terms may share coefficient objects, each spelled once
+    terms, names, join = p.packed, list(map(p.ring.table.name_of, p.order)), style.var_join
+    den, number, gcd, width = p.den, style.number, math.gcd, p.width
+    # low masks off the total-degree field; cut splits the variable fields
+    # into a high half, k - (k & cut), and a low one, each spelled once
+    low, cut = (1 << len(names) * width) - 1, (1 << len(names) // 2 * width) - 1
+    texts = {0: ""}
+
+    def spell(half):
+        pieces = []
+        while half:
+            s = (half.bit_length() - 1) // width * width
+            e = half >> s
+            half -= e << s
+            name = names[s // width]
+            pieces.append(name if e == 1 else style.power.format(name, e))
+        return join.join(pieces)
+
     spelled: dict = {}
     out: list[str] = []
-    for key in sorted(by_key, reverse=True):
-        m, c = by_key[key]
-        spell = spelled.get(id(c))
-        if spell is None:
-            neg, body = _coeff_pieces(c, style)
-            lead = "" if body == "1" else body + style.times[body.endswith(")")]
-            spell = spelled[id(c)] = (neg, lead, body)
-        neg, lead, body = spell
-        if m:
-            names = map(text.__getitem__, sorted(m, key=rank.__getitem__))
-            body = lead + style.var_join.join(names)
-        if not out:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f" - {body}" if neg else f" + {body}")
-    return "".join(out)
+    for k in sorted(terms, reverse=True):
+        n = terms[k]
+        spelled_n = spelled.get(n)
+        if spelled_n is None:
+            if type(n) is int:  # a rational, the common case, spelled inline
+                g = gcd(n, den)
+                body = number(abs(n) // g, den // g)
+                spelled_n = n < 0, "" if body == "1" else body + style.times[0], body
+            else:
+                spelled_n = _spell(n, den, style)
+            spelled[n] = spelled_n
+        neg, lead, body = spelled_n
+        k &= low
+        if k:
+            lo = k & cut
+            hi = texts.get(k - lo)
+            if hi is None:
+                hi = texts[k - lo] = spell(k - lo)
+            lo = texts.get(lo)
+            if lo is None:
+                lo = texts[k & cut] = spell(k & cut)
+            body = lead + (hi + join + lo if hi and lo else hi or lo)
+        out.append(f" - {body}" if neg else f" + {body}")
+    joined = "".join(out)
+    return "-" + joined[3:] if joined[1] == "-" else joined[3:]
 
 
 def render_poly(p: MultiPoly, quantified: Sequence[str] = ()) -> str:
@@ -741,9 +760,7 @@ class UniView:
         out = []
         for c in self.coeffs:
             if not c.is_constant():
-                raise ValueError(
-                    f"univariate view in {self.var!r} has a nonconstant coefficient"
-                )
+                raise ValueError(f"univariate view in {self.var!r} has a nonconstant coefficient")
             out.append(c.constant_value())
         return out
 
@@ -772,9 +789,7 @@ def as_univariate(p: MultiPoly, name: str) -> UniView:
             b.pop(key, None)
     top = max((e for e, t in buckets.items() if t), default=-1)
     if top > MAX_UNIVARIATE_DEGREE:
-        raise SizeLimitError(
-            f"degree {top} in {name!r} exceeds the limit {MAX_UNIVARIATE_DEGREE}"
-        )
+        raise SizeLimitError(f"degree {top} in {name!r} exceeds the limit {MAX_UNIVARIATE_DEGREE}")
     coeffs = tuple(MultiPoly(ring, buckets.get(j, {})) for j in range(top + 1))
     return UniView(name, coeffs, ring)
 
@@ -802,8 +817,7 @@ class _GaussInt:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
+        self.re, self.im = re, im
 
     def __bool__(self):
         return bool(self.re or self.im)
@@ -886,12 +900,8 @@ def _monic(c: list) -> list:
     if type(lc) is not _GaussInt:
         return [Fraction(x, lc) for x in c]
     n = lc.re * lc.re + lc.im * lc.im
-    return [
-        GaussianRational(
-            Fraction(x.re * lc.re + x.im * lc.im, n), Fraction(x.im * lc.re - x.re * lc.im, n)
-        )
-        for x in c
-    ]
+    return [GaussianRational(Fraction(x.re * lc.re + x.im * lc.im, n),
+                             Fraction(x.im * lc.re - x.re * lc.im, n)) for x in c]
 
 
 def _subresultant_prs(a: list, b: list) -> Iterator[list]:
@@ -955,24 +965,14 @@ class SturmChain:
     polys: tuple[tuple[int, ...], ...]
 
     def variations_at_minus_inf(self) -> int:
-        signs = [(-1 if c[-1] < 0 else 1) * (-1) ** (len(c) - 1) for c in self.polys]
-        return _sign_changes(signs)
+        return _sign_changes([(c[-1] < 0) != (len(c) % 2 == 0) for c in self.polys])
 
     def variations_at_plus_inf(self) -> int:
-        signs = [-1 if c[-1] < 0 else 1 for c in self.polys]
-        return _sign_changes(signs)
+        return _sign_changes([c[-1] < 0 for c in self.polys])
 
 
-def _sign_changes(signs: list[int]) -> int:
-    n = 0
-    prev = None
-    for s in signs:
-        if s == 0:
-            continue
-        if prev is not None and s != prev:
-            n += 1
-        prev = s
-    return n
+def _sign_changes(negative: list[bool]) -> int:
+    return sum(map(operator.ne, negative, negative[1:]))
 
 
 def _rational_cleared(view: UniView) -> list[int]:

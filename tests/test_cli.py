@@ -425,6 +425,31 @@ def test_free_variable_named_like_a_quantifier_is_renamed_apart(tmp_path):
         assert run(["decide", "--input", eq, "--point", point]) == (EXIT_OK, want + "\n")
 
 
+_NAMED_E_R = {"field": "R", "prefix": [["exists", "r"]], "vars": ["y"], "equation": "r - y",
+              "shape": "E_R", "counts": {}}
+
+
+@pytest.mark.parametrize("change", [
+    {"prefix": [["exists", 7]], "equation": "y - 1"},
+    {"prefix": [["some", "r"]]},
+    {"prefix": [["exists", "r", "s"]]},
+    {"prefix": [["exists", "r y"]]},
+    {"prefix": [["exists", "true"]]},
+    {"prefix": ["exists r"]},
+    {"prefix": "exists"},
+    {"vars": [None]},
+    {"vars": ["1y"]},
+    {"vars": "y"},
+], ids=["number-name", "unknown-quantifier", "three-entries", "two-words", "keyword",
+        "string-entry", "string-prefix", "null-var", "digit-var", "string-vars"])
+def test_equation_file_names_must_be_identifiers(tmp_path, capsys, change):
+    eq = write(tmp_path, "eq.json", json.dumps({**_NAMED_E_R, **change}))
+    assert run(["decide", "--input", eq, "--point", "y=1"])[0] == EXIT_PARSE
+    assert "bad equation JSON" in capsys.readouterr().err
+    eq = write(tmp_path, "ok.json", json.dumps(_NAMED_E_R))
+    assert run(["decide", "--input", eq, "--point", "y=1"]) == (EXIT_OK, "TRUE\n")
+
+
 def test_q_tagged_e_equation_not_from_the_construction_is_refused(tmp_path):
     """r^2 = 2y has a real root but no rational one at y = 1; over Q only an
     equation that re-derives from its provenance is decided."""

@@ -1,14 +1,19 @@
 """The one-pass integer fold of an equation's layout and the packed render.
 
 `QuantifiedEquation.equation` multiplies guard * sum_i (prod_j f_ij)^power out
-on packed integer terms; here it is compared with the same layout multiplied
-out by plain MultiPoly products and sums, for every shape and for hand-made
-layouts with a non-unit guard under a square, shared factors and mixed
-Gaussian coefficients. Its TermBudget must be charged the products the plain
-fold would take, in their order, so SizeLimitError fires at the same spent
-count. The renderer sorts terms by one packed int per term; its order is
-checked against a (total degree, exponents by significance) sort key over
-many variables and exponents on both sides of a power of two.
+on packed integer terms and keeps them packed, in render order for its
+quantified names, building its term dict only when `.terms` is read. Here
+that dict, read directly or after a render, is compared with the same layout
+multiplied out by plain MultiPoly products and sums, for every shape and for
+hand-made layouts with a non-unit guard under a square, shared factors and
+mixed Gaussian coefficients. Its TermBudget must be charged the products the
+plain fold would take, in their order, so SizeLimitError fires at the same
+spent count. The render straight from the packed expansion must equal the
+render of a plain MultiPoly holding its terms, and a JSON round trip must
+never build the expansion's term dict. The renderer sorts terms by one packed
+int per term; its order is checked against a (total degree, exponents by
+significance) sort key over many variables and exponents on both sides of a
+power of two.
 """
 
 import operator
@@ -19,10 +24,10 @@ from functools import reduce
 import pytest
 
 from boolelim import elim, poly
-from boolelim.elim import QuantifiedEquation, Shape, build_for_shape
+from boolelim.elim import QuantifiedEquation, Shape, build_for_shape, from_json, to_json
 from boolelim.errors import SizeLimitError
 from boolelim.exactnum import gaussian
-from boolelim.poly import Field, PolyRing, TermBudget, render_poly, render_poly_latex
+from boolelim.poly import Field, MultiPoly, PolyRing, TermBudget, render_poly, render_poly_latex
 from oracles import SHAPE_SETUPS, make_true_instance
 
 
@@ -69,10 +74,14 @@ def hand_made_layouts():
 
 
 def test_the_fold_equals_plain_products_and_sums():
+    """The term dict of the expansion, read at once or after a render."""
     seen = set()
-    for qe in (*constructions(), *hand_made_layouts()):
-        assert qe.equation == plain_fold(qe), qe.shape
-        seen.add((qe.shape, qe.power, len(qe.guard.terms) > 1))
+    for render_first in (False, True):
+        for qe in (*constructions(), *hand_made_layouts()):
+            if render_first:
+                render_poly(qe.equation, qe.quantified_names())
+            assert qe.equation == plain_fold(qe), (qe.shape, render_first)
+            seen.add((qe.shape, qe.power, len(qe.guard.terms) > 1))
     assert {s for s, _, _ in seen} == set(Shape)
     assert {s[1:] for s in seen} == {(1, False), (1, True), (2, False), (2, True)}
 
@@ -180,3 +189,58 @@ def test_render_of_exponents_across_a_power_of_two():
     q = a * x**255 * gaussian(Fraction(-1, 2), -1) + y**256 * gaussian(0, -3) + a**256
     assert render_poly(q, ("a",)) == "a^256 + (-1/2-i)*a*x^255 - 3*i*y^256"
     assert render_poly_latex(q, ("a",)) == "a^{256} + (-\\tfrac{1}{2} - i)a x^{255} - 3i y^{256}"
+
+
+def _render_layouts():
+    """Equations whose expansions the packed render must spell as a plain
+    MultiPoly of the same terms: the constructions of all seven shapes, the
+    Gaussian hand-made layouts, quantified names that sort after the free
+    ones in a ring registered out of name order, and a zero expansion."""
+    yield from constructions()
+    yield from hand_made_layouts()
+    ring = PolyRing(Field.Q)
+    y, c, x, a = (ring.var(n) for n in ("y", "c", "x", "a"))
+    z, w = ring.quantified("z"), ring.quantified("w")
+    f = z * w**2 * y - Fraction(3, 4) * x**3 + a * c + Fraction(1, 6)
+    g = w**3 - z * a**2 + Fraction(-5, 3) * y * x
+    for prefix in ((("exists", "z"), ("forall", "w")), (("forall", "w"), ("exists", "z"))):
+        yield QuantifiedEquation(Field.Q, prefix, Shape.AE3_Q, ring, addends=((f, g), (g,)), power=2)
+    yield QuantifiedEquation(Field.Q, (("exists", "z"),), Shape.E_R, ring, addends=((f, g), (-f, g)))
+
+
+def test_the_packed_render_equals_the_render_of_its_terms():
+    spelled = set()
+    for qe in _render_layouts():
+        names = qe.quantified_names()
+        plain = MultiPoly(qe.ring, dict(qe.equation.terms))
+        for render in (render_poly, render_poly_latex):
+            got = render(qe.equation, names)
+            assert got == render(plain, names), (qe.shape, qe.prefix)
+            spelled.add(got)
+    assert "0" in spelled
+    assert any("i*" in text for text in spelled)
+
+
+def test_a_json_round_trip_never_builds_the_expansion_terms(monkeypatch):
+    """to_json and from_json's compare render the packed expansions; building
+    their term dicts, monomial tuples and field scalars, raises here."""
+    expansions = []
+    expand = QuantifiedEquation._expand
+
+    def recorded(self, x=None):
+        expansions.append(expand(self, x))
+        return expansions[-1]
+
+    build_terms = poly.PackedPoly.__getattr__
+
+    def refused(self, name):
+        if any(self is p for p in expansions):
+            raise AssertionError("the expansion's term dict was built")
+        return build_terms(self, name)
+
+    monkeypatch.setattr(QuantifiedEquation, "_expand", recorded)
+    monkeypatch.setattr(poly.PackedPoly, "__getattr__", refused)
+    for qe in constructions():
+        text = to_json(qe)
+        assert to_json(from_json(text)) == text
+    assert len(expansions) == 2 * 42

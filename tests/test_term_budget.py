@@ -17,6 +17,7 @@ from boolelim.elim import Shape, compile_formula
 from boolelim.errors import SizeLimitError
 from boolelim.formula import parse, parse_term
 from boolelim.poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing
+from test_layout_fold import plain_fold
 
 
 def test_wide_product_is_refused_before_it_is_multiplied():
@@ -99,6 +100,27 @@ def test_exact_degree_check_of_nine_cancelling_equations_is_quick(monkeypatch):
     assert (rep["degrees"], rep["bounds"], rep["exact"]) == (
         {"a": 2, "b": 1}, {"a": 3, "b": 1}, {"a": False, "b": False}
     )
+
+
+def test_exact_degree_check_of_moments_that_cancel_twice_reports_the_plain_degrees(monkeypatch):
+    """Clause products A, -2A and A of nine three-term equations each: the
+    moments sum_i i^k * A_i vanish for k = 0 and 1, so both are checked
+    exactly. Each A_i is multiplied out and charged once for both moments,
+    which fits the budget, and the report reads the degrees of the plain
+    MultiPoly fold of the construction."""
+    terms = [f"x{j} + y{j} + 1" for j in range(1, 10)]
+    scaled = [[""] * 9, ["-2*"] + [""] * 8, ["-", "-"] + [""] * 7]
+    text = " /\\ ".join(
+        "(" + " \\/ ".join(f"{s}({t}) = 0" for s, t in zip(row, terms)) + ")" for row in scaled
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    out = io.StringIO()
+    assert main(["report", "--field", "c", "--form", "ae", "--output", "json"], out=out) == EXIT_OK
+    rep = json.loads(out.getvalue())
+    qe = compile_formula(parse(text, Field.C), Shape.AE_C, Field.C)
+    assert qe.provenance.d == 3
+    expanded = plain_fold(qe)
+    assert rep["degrees"] == {z: expanded.degree_in(z) for z in ("a", "b")} == {"a": 3, "b": 1}
 
 
 _LITERALS = r"x1 + y1 + 1 != 0 /\ x2 + y2 + 1 != 0 /\ z + 1 = 0"
