@@ -9,7 +9,6 @@ from .decide import (
     check_witness,
     decider_for_shape,
     equivalence_run,
-    exists_root_c,
     refute_ae,
 )
 from .elim import (

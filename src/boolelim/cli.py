@@ -141,8 +141,10 @@ def _parse_point(text: str, fld: Field) -> dict:
             continue
         if "=" not in piece:
             raise ValueError(f"point entry {piece!r} is not name=value")
-        name, val = piece.split("=", 1)
-        point[name.strip()] = _parse_gaussian(val) if fld is Field.C else _parse_fraction(val)
+        name, val = (s.strip() for s in piece.split("=", 1))
+        if name in point:
+            raise ValueError(f"the point names {name!r} twice")
+        point[name] = _parse_gaussian(val) if fld is Field.C else _parse_fraction(val)
     return point
 
 

@@ -17,9 +17,11 @@ is its polynomial) is one block; a sum of squares has one per bracket, in
 its own exists variables; a forall-first construction has clause i's at
 the selector node i, the only decisive universal values. With a forall
 variable left a factor vanishes when its coefficients in it share a root
-(a nonconstant gcd), since C[b] has no zero divisors; otherwise at a
-complex root over C, or a Sturm-counted real root over R and Q. The Q
-gadget blocks take the three-squares criterion on the clause's literals.
+(a nonconstant gcd), since C[b] has no zero divisors. Otherwise, over C,
+unless the substituted factor is a nonzero constant, since a univariate of
+positive degree has a complex root; over R and Q, at a Sturm-counted real
+root. The Q gadget blocks take the three-squares criterion on the clause's
+literals.
 Only an opaque forall-exists equation over C has no nodes to read: it
 fails only where every positive-degree b-coefficient of its one polynomial
 vanishes and the constant one does not, a gcd and squarefree computation.
@@ -56,12 +58,6 @@ from .poly import (
 
 
 # -- complete oracles over C ----------------------------------------------------
-
-
-def exists_root_c(view: UniView) -> bool:
-    """Whether a univariate with scalar coefficients has a complex root;
-    false exactly for nonzero constants."""
-    return view.is_zero() or view.degree >= 1 or not view.scalars()[0]
 
 
 def _gcd_fold(polys: list, name: str) -> UniView:
@@ -112,13 +108,15 @@ def _blocks(qe: QuantifiedEquation, forall_value=None) -> list:
 def _factor_vanishes(f: MultiPoly, name: str, forall: str | None, fld: Field) -> bool:
     """Whether some value of name zeroes the factor: identically in the
     forall variable left, if any, when its coefficients in it are all zero
-    or share a root, a nonconstant gcd; else at any complex root over C and
-    at a real root, by Sturm counting, over R and Q."""
+    or share a root, a nonconstant gcd; else over C unless the factor, a
+    univariate in name, is a nonzero constant, and over R and Q at a real
+    root, by Sturm counting."""
     if forall is not None:
         nonzero = [c for c in as_univariate(f, forall).coeffs if not c.is_zero()]
         return not nonzero or _gcd_fold(nonzero, name).degree >= 1
-    view = as_univariate(f, name)
-    return exists_root_c(view) if fld is Field.C else count_real_roots(view) != 0
+    if fld is Field.C:
+        return f.is_zero() or not f.is_constant()
+    return count_real_roots(as_univariate(f, name)) != 0
 
 
 def _q_positive_representable(u: Fraction) -> bool:
@@ -160,13 +158,13 @@ def _every_block_vanishes(qe: QuantifiedEquation, x: Mapping, forall_value=None)
         )
     # the forall variable after an exists one stays in its blocks (ea)
     forall = next((n for q, n in qe.prefix[1:] if q == "forall"), None)
-    # each value becomes a constant of the ring once, not once per factor:
-    # x's values, then each binding's, which name only quantified variables
+    # each value becomes a field scalar once, not once per factor: x's
+    # values, then each binding's, which name only quantified variables
     ring = qe.ring
-    shared = {n: ring.const(v) for n, v in x.items() if ring.table.has(n)}
+    shared = {n: ring.scalar(v) for n, v in x.items() if ring.table.has(n)}
     read = []
     for _, binding, factors, name in blocks:
-        point = {**shared, **{n: ring.const(v) for n, v in binding.items()}}
+        point = {**shared, **{n: ring.scalar(v) for n, v in binding.items()}}
         allowed = {name, forall}
         if set().union(*(f.variables() for f in factors)) - allowed - point.keys():
             # a variable the point lacks stays unless the substitution

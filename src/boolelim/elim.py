@@ -465,13 +465,15 @@ def _build_brackets(m: ClauseMatrix, fld: Field, names: list) -> tuple:
 def _build_guarded(m: ClauseMatrix, fld: Field, names: list) -> tuple:
     """Forall-first shapes, the forall name then the exists ones: the guard
     1 - y1*prod_i (z - i) vanishes off the nodes, and at node i the
-    selector sum leaves clause i's factors."""
+    selector sum leaves clause i's factors. The d selectors of d terms each
+    are charged to a budget of their own before any is written."""
     ring = m.ring
     univ, *exists = names
     z = ring.quantified(univ)
     ys = [ring.quantified(n) for n in exists]
     w = GADGETS[fld].base(ys)
     d = m.d
+    TermBudget("writing the selectors").charge(d, d)
     nodes = _node_coeffs(d)
     guard = ring.one - ys[0] * _node_product(z, d, nodes=nodes)
     times = TermBudget("building the construction").times
@@ -799,10 +801,11 @@ def from_json(text: str) -> QuantifiedEquation:
     rendering, and a file whose field, prefix or equation differs from the
     rebuild's is refused with ShapeUnsupportedError. Each prefix entry must
     be ["exists"|"forall", name] and every name and vars entry a string
-    that tokenizes as one identifier, else ValueError. The raw clause count
-    is the file's counts.raw_d when it has one. Without provenance it is
-    opaque: its parsed polynomial as the one factor of a product under the
-    unit guard, which the complete deciders read."""
+    that tokenizes as one identifier, with no name bound twice, else
+    ValueError. The raw clause count is the file's counts.raw_d when it has
+    one. Without provenance it is opaque: its parsed polynomial as the one
+    factor of a product under the unit guard, which the complete deciders
+    read."""
     obj = json.loads(text)
     fld = Field(obj["field"])
     ring = PolyRing(fld)
@@ -816,6 +819,8 @@ def from_json(text: str) -> QuantifiedEquation:
     for name in names:
         ring.var(name)
     prefix = tuple((q, n) for q, n in prefix)
+    if len({n for _, n in prefix}) < len(prefix):
+        raise ValueError(f"the prefix names one variable twice: {obj['prefix']!r}")
     shape = Shape(obj["shape"])
     prov = obj.get("provenance")
     if prov is not None:

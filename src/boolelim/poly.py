@@ -26,7 +26,8 @@ variable's power into the coefficient. Both coerce an int, Fraction or
 GaussianRational value into the ring's scalars (so a real Gaussian becomes a
 Fraction over R and Q, and a non-real one raises FieldMismatchError);
 evaluation uses any other value, a square-root witness, as given, and
-substitution refuses it, as it refuses a non-constant polynomial.
+substitution takes field scalars only, refusing every polynomial, constant
+or not, as it refuses a square-root witness.
 
 Univariate views expose one variable with polynomial coefficients, at most
 MAX_UNIVARIATE_DEGREE of them (SizeLimitError above). Views with scalar
@@ -543,12 +544,16 @@ class MultiPoly:
 
     # -- evaluation and substitution --------------------------------------
 
-    def _bind(self, values: Mapping[str, object], coerce: Callable, strict: bool) -> dict:
+    def _bind(self, values: Mapping[str, object], strict: bool) -> dict:
         """The terms with each variable that values binds multiplied into
-        the coefficient as coerce(value) ** exponent, one power per
-        (variable, exponent), collected by the monomial left. Strict, a
-        variable values lacks raises UnexpectedVariablesError."""
-        name_of = self.ring.table.name_of
+        the coefficient as value ** exponent, one power per (variable,
+        exponent), collected by the monomial left. An int, Fraction or
+        GaussianRational value is coerced into the ring's scalars first.
+        Strict (evaluation), a variable values lacks raises
+        UnexpectedVariablesError and any other value, a SqrtValue, enters
+        as given; otherwise (substitution) such a variable stays and any
+        other value raises FieldMismatchError."""
+        scalar, name_of = self.ring.scalar, self.ring.table.name_of
         powers: dict = {}
         out: dict = {}
         for m, c in self.terms.items():
@@ -558,7 +563,8 @@ class MultiPoly:
                 if p is None:
                     name = name_of(k[0])
                     if name in values:
-                        p = coerce(values[name]) ** k[1]
+                        v = values[name]
+                        p = (scalar(v) if not strict or isinstance(v, _EXACT) else v) ** k[1]
                     elif strict:
                         raise UnexpectedVariablesError(f"the point gives no value for {name!r}")
                     else:
@@ -581,24 +587,14 @@ class MultiPoly:
         does not bind raises UnexpectedVariablesError. An int, Fraction or
         GaussianRational value is coerced into the ring's scalars; any other
         value, a SqrtValue, is used as given and enters by its powers."""
-        ring = self.ring
-        terms = self._bind(point, lambda v: ring.scalar(v) if isinstance(v, _EXACT) else v, True)
-        return terms[()] if terms else ring.scalar(0)
+        terms = self._bind(point, True)
+        return terms[()] if terms else self.ring.scalar(0)
 
     def substitute(self, bindings: Mapping[str, object]) -> "MultiPoly":
-        """Replace variables by field scalars or constants of the ring;
-        others stay. A non-constant polynomial, one from another ring, or a
-        value that is no scalar of the field raises FieldMismatchError."""
-        ring = self.ring
-
-        def coerce(v):
-            if not isinstance(v, MultiPoly):
-                return ring.scalar(v)
-            if v.ring is not ring or not v.is_constant():
-                raise FieldMismatchError("substitution value is not a constant of the ring")
-            return v.constant_value()
-
-        return MultiPoly(ring, self._bind(bindings, coerce, False))
+        """Replace variables by field scalars; others stay. Any other value,
+        a polynomial (constant or not) or a non-real scalar over R or Q,
+        raises FieldMismatchError."""
+        return MultiPoly(self.ring, self._bind(bindings, False))
 
     # -- rendering ---------------------------------------------------------
 
@@ -779,15 +775,9 @@ def as_univariate(p: MultiPoly, name: str) -> UniView:
                 e = ex
             else:
                 rest.append((i, ex))
-        b = buckets.setdefault(e, {})
-        key = tuple(rest)
-        s = b.get(key)
-        s = c if s is None else s + c
-        if s:
-            b[key] = s
-        else:
-            b.pop(key, None)
-    top = max((e for e, t in buckets.items() if t), default=-1)
+        # distinct monomials leave distinct (e, rest), so nothing collects
+        buckets.setdefault(e, {})[tuple(rest)] = c
+    top = max(buckets, default=-1)
     if top > MAX_UNIVARIATE_DEGREE:
         raise SizeLimitError(f"degree {top} in {name!r} exceeds the limit {MAX_UNIVARIATE_DEGREE}")
     coeffs = tuple(MultiPoly(ring, buckets.get(j, {})) for j in range(top + 1))

@@ -450,6 +450,25 @@ def test_equation_file_names_must_be_identifiers(tmp_path, capsys, change):
     assert run(["decide", "--input", eq, "--point", "y=1"]) == (EXIT_OK, "TRUE\n")
 
 
+def test_equation_file_binding_one_name_twice_is_refused(tmp_path, capsys):
+    """A prefix that binds r twice would quantify it twice over one ring
+    variable; loaded as it stood, the file decided FALSE."""
+    eq = write(tmp_path, "eq.json", json.dumps({
+        "field": "C", "prefix": [["exists", "r"], ["forall", "r"]], "vars": ["y"],
+        "equation": "r*y - 1", "shape": "EA_C", "counts": {},
+    }))
+    assert run(["decide", "--input", eq, "--point", "y=1"])[0] == EXIT_PARSE
+    assert "names one variable twice" in capsys.readouterr().err
+
+
+def test_point_naming_one_variable_twice_is_refused(tmp_path, capsys):
+    """With the last value winning, y=2,y=3 decided r^2 = y at y = 3, TRUE."""
+    eq = write(tmp_path, "eq.json", json.dumps({**_NAMED_E_R, "equation": "r^2 - y"}))
+    assert run(["decide", "--input", eq, "--point", "y=2,y=3"])[0] == EXIT_PARSE
+    assert "names 'y' twice" in capsys.readouterr().err
+    assert run(["decide", "--input", eq, "--point", "y=3"]) == (EXIT_OK, "TRUE\n")
+
+
 def test_q_tagged_e_equation_not_from_the_construction_is_refused(tmp_path):
     """r^2 = 2y has a real root but no rational one at y = 1; over Q only an
     equation that re-derives from its provenance is decided."""

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from boolelim.decide import (
     check_witness,
     decider_for_shape,
     equivalence_run,
-    exists_root_c,
     has_real_root,
     refute_ae,
 )
@@ -99,15 +99,6 @@ def test_evaluate_coerces_gaussian_values_into_ordered_fields(fld):
 # -- complete deciders vs formula truth -----------------------------------------
 
 
-def test_exists_root_c():
-    ring = PolyRing(Field.C, VarTable())
-    x = ring.var("x")
-    assert exists_root_c(as_univariate(x * x + 1, "x"))
-    assert exists_root_c(as_univariate(ring.zero, "x"))
-    assert not exists_root_c(as_univariate(ring.const(5), "x"))
-    assert exists_root_c(as_univariate(x ** 3 - 2, "x"))
-
-
 def test_deciders_match_formula_on_cross_fixture():
     rng = random.Random(40)
     cases = [
@@ -162,6 +153,23 @@ def _random_tree(rng, leaves, depth):
     return f"~{node}" if rng.random() < 0.2 else node
 
 
+def _terms_vanishing_at(rng, ring, point, coeff) -> list:
+    """Three nonconstant terms of one to three monomials over the point's
+    names, with coefficients drawn by coeff, each shifted to vanish there."""
+    names = list(point)
+    bases = []
+    while len(bases) < 3:
+        t = ring.zero
+        for _ in range(rng.randint(1, 3)):
+            mono = ring.const(coeff())
+            for n in rng.sample(names, rng.randint(1, 2)):
+                mono = mono * ring.var(n)
+            t = t + mono
+        if not t.is_constant():
+            bases.append(t - t.evaluate(point))
+    return bases
+
+
 @pytest.mark.parametrize("shape", [Shape.EA_C, Shape.AE_C])
 def test_c_deciders_at_planted_zero_patterns(shape):
     """Over C a random point makes a literal term vanish almost never, so a
@@ -176,16 +184,9 @@ def test_c_deciders_at_planted_zero_patterns(shape):
         ring = PolyRing(Field.C)
         point = {n: gaussian(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4))
                  for n in names}
-        bases = []
-        while len(bases) < 3:
-            t = ring.zero
-            for _ in range(rng.randint(1, 3)):
-                mono = ring.const(gaussian(rng.randint(-5, 5), rng.randint(-5, 5)))
-                for n in rng.sample(names, rng.randint(1, 2)):
-                    mono = mono * ring.var(n)
-                t = t + mono
-            if not t.is_constant():
-                bases.append(t - t.evaluate(point))
+        bases = _terms_vanishing_at(
+            rng, ring, point, lambda: gaussian(rng.randint(-5, 5), rng.randint(-5, 5))
+        )
         offsets = [gaussian(rng.randint(1, 5), rng.randint(-5, 5)) for _ in bases]
         rels = [rng.choice(("=", "!=")) for _ in bases]
         tree = _random_tree(rng, ["{0}", "{1}", "{2}"], 3)
@@ -198,6 +199,46 @@ def test_c_deciders_at_planted_zero_patterns(shape):
             want = eval_formula(phi, point)
             qe = compile_formula(phi, shape, Field.C)
             assert decider_for_shape(shape)(qe, point) == want, (zeros, render_formula(phi))
+            verdicts[want] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10, verdicts
+
+
+@pytest.mark.parametrize("shape,fld", [
+    (Shape.E_R, Field.R),
+    (Shape.E_R, Field.Q),
+    (Shape.Ed_R, Field.R),
+    (Shape.AE_R, Field.R),
+    (Shape.E3d_Q, Field.Q),
+    (Shape.AE3_Q, Field.Q),
+], ids=["E_R-R", "E_R-Q", "Ed_R", "AE_R", "E3d_Q", "AE3_Q"])
+def test_r_and_q_deciders_at_planted_sign_patterns(shape, fld):
+    """Criterion 3's random points make some R or Q literal term vanish at
+    only 3-4% of them. Here each formula has three literal terms with rational
+    coefficients, shifted to be negative, zero or positive at one rational
+    point in every one of the 27 sign patterns, and the construction's
+    verdict there must be the formula's. Over Q a positive value is 7 or
+    2/7: 7 is not a sum of three rational squares but 1/14 is, so only the
+    gadget's scale-2 branch finds the root, and 2/7 needs its scale-1 one."""
+    rng = random.Random(f"signs:{shape.value}:{fld.value}")
+    rels = ("=", "!=") if shape is Shape.E_R else ("=", "!=", ">", ">=", "<")
+    sizes = (7, Fraction(2, 7)) if fld is Field.Q else (1, Fraction(7, 3), 4)
+    verdicts = {True: 0, False: 0}
+    for _ in range(6):
+        ring = PolyRing(fld)
+        point = {n: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for n in ("x1", "x2", "x3")}
+        bases = _terms_vanishing_at(rng, ring, point, lambda: rng.randint(-5, 5))
+        shifts = [(-rng.choice(sizes), 0, rng.choice(sizes)) for _ in bases]
+        literal_rels = [rng.choice(rels) for _ in bases]
+        tree = _random_tree(rng, ["{0}", "{1}", "{2}"], 3)
+        for signs in itertools.product(range(3), repeat=3):
+            terms = [b + shift[k] for b, shift, k in zip(bases, shifts, signs)]
+            values = [t.evaluate(point) for t in terms]
+            assert [(v > 0) - (v < 0) + 1 for v in values] == list(signs)
+            literals = [f"{render_poly(t)} {r} 0" for t, r in zip(terms, literal_rels)]
+            phi = parse(tree.format(*literals), fld)
+            want = eval_formula(phi, point)
+            qe = compile_formula(phi, shape, fld)
+            assert decider_for_shape(shape)(qe, point) == want, (signs, render_formula(phi))
             verdicts[want] += 1
     assert verdicts[True] > 10 and verdicts[False] > 10, verdicts
 

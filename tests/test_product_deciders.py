@@ -249,9 +249,10 @@ def test_zero_factor_zeroes_its_block_whatever_the_point_lacks(shape, point):
     (Shape.Ed_R, Field.R),
     (Shape.AE_R, Field.R),
 ], ids=["ea_C", "e_R", "ed_R", "ae_R"])
-def test_each_point_value_becomes_a_ring_constant_once(monkeypatch, shape, fld):
-    """The block walk converts the point once, not once per factor it
-    substitutes into; a non-real value is still refused over R."""
+def test_no_point_value_becomes_a_ring_constant(monkeypatch, shape, fld):
+    """The block walk binds the point's values as field scalars, so no value
+    is wrapped in a ring constant for substitution to unwrap; a non-real
+    value is still refused over R."""
     rng = random.Random(f"once:{shape.value}")
     x = _point(rng, fld, 32)
     if shape in (Shape.EA_C, Shape.E_R):
@@ -260,17 +261,18 @@ def test_each_point_value_becomes_a_ring_constant_once(monkeypatch, shape, fld):
         matrix = to_cnf(parse(_cnf_text(rng, 3), fld))
     qe = build_for_shape(shape, matrix)
     assert sum(len(a) for a in qe.addends) > 1
-    converted = []
+    expected = decider_for_shape(shape)(qe, x)
+    wrapped = []
     const = PolyRing.const
 
-    def counting(ring, v):
+    def recording(ring, v):
         if any(v is value for value in x.values()):
-            converted.append(v)
+            wrapped.append(v)
         return const(ring, v)
 
-    monkeypatch.setattr(PolyRing, "const", counting)
-    decider_for_shape(shape)(qe, x)
-    assert sorted(map(str, converted)) == sorted(map(str, x.values()))
+    monkeypatch.setattr(PolyRing, "const", recording)
+    assert decider_for_shape(shape)(qe, x) is expected
+    assert wrapped == []
     if fld is Field.R:
         with pytest.raises(FieldMismatchError):
             decider_for_shape(shape)(qe, {**x, "y": gaussian(1, 1)})

@@ -142,7 +142,8 @@ _ORDERS = r"x1 + y1 + 1 > 0 \/ x2 + y2 + 1 > 0 \/ z + 1 = 0"
 def test_construction_charges_its_literal_products(monkeypatch, shape, fld, text, spent):
     """A construction builds within a budget of exactly the term products of
     its literals' terms, and not one less; the selectors and the guard are
-    written from integer node coefficients, with no product to charge."""
+    written from integer node coefficients, with no product to charge (the
+    selectors' d * d terms go to a budget of their own)."""
     phi = parse(text, fld)
     monkeypatch.setattr(poly, "MAX_TERM_PRODUCTS", spent)
     compile_formula(phi, shape, fld)
@@ -174,6 +175,18 @@ def test_construction_past_the_budget_exits_4_at_once(monkeypatch, form, field, 
     else:
         assert code == EXIT_SIZE
         assert time.perf_counter() - t0 < seconds
+
+
+@pytest.mark.parametrize("form,field", [("ae", "c"), ("ae", "r"), ("ae3", "q")])
+def test_selectors_past_the_budget_exit_4_at_once(monkeypatch, form, field):
+    """A forall-first construction writes d selectors of d terms each: at
+    d = 600, 360,000 terms, past the budget that admits d = 512. Unbudgeted,
+    time and memory grow faster than d^2: at d = 1000 the report took
+    seconds and about 1 GB."""
+    text = " /\\ ".join(f"x{j} = 0" for j in range(1, 601))
+    t0 = time.perf_counter()
+    assert _cli(monkeypatch, ["report", "--field", field, "--form", form], text) == EXIT_SIZE
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("text", [
