@@ -66,7 +66,6 @@ from .formula import (
     rewrite_neq_to_orders,
     to_cnf,
     to_dnf,
-    to_nnf,
 )
 from .poly import (
     Field,

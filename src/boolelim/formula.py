@@ -12,12 +12,21 @@ Grammar (whitespace-insensitive):
 Every relation is normalized to a constraint against zero: p REL q becomes
 (p - q) REL 0, and the order sugar resolves at parse time (t >= 0 becomes
 t > 0 \\/ t = 0, t < 0 becomes -t > 0, t <= 0 becomes -t > 0 \\/ t = 0).
+Negation is resolved as a formula is read, so no formula holds a negation
+node: each literal is negated once, by the parity of the "~"s around it.
+Under an odd number, "/\\" builds an Or, "\\/" an And, true and false swap,
+t = 0 and t != 0 swap, and t > 0 becomes -t > 0 \\/ t = 0; under an even
+number nothing changes, so double negations cancel. f_not pushes a negation
+through a built formula by the same rule.
+
 Order relations are rejected over the complex field. Over C the identifier
 "i" denotes the imaginary unit. A product chain or power charges one
 TermBudget per product as it multiplies, a power each product of the
 repeated squaring that computes it, and is refused with SizeLimitError
 before the product that would pass MAX_TERM_PRODUCTS term products; so is
-nesting deeper than MAX_NESTING_DEPTH parentheses, negations and signs.
+a power whose exponent times a coefficient's bit length passes
+MAX_POWER_BITS, and nesting deeper than MAX_NESTING_DEPTH parentheses,
+negations and signs.
 """
 
 from __future__ import annotations
@@ -63,11 +72,6 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
 class And(Formula):
     children: tuple
 
@@ -107,13 +111,23 @@ def make_atom(term: MultiPoly, rel: Rel) -> Formula:
 
 
 def f_not(phi: Formula) -> Formula:
-    if phi is TRUE:
+    """The complement of phi, pushed onto its literals: each connective
+    becomes its dual, each constant the other and each literal its
+    negation, t = 0 and t != 0 swapping and t > 0 becoming -t > 0 \\/ t = 0,
+    so the result holds no negation node."""
+    if isinstance(phi, Atom):
+        if phi.rel is Rel.GT0:
+            return f_or([make_atom(-phi.term, Rel.GT0), make_atom(phi.term, Rel.EQ0)])
+        return make_atom(phi.term, Rel.NEQ0 if phi.rel is Rel.EQ0 else Rel.EQ0)
+    if isinstance(phi, And):
+        return f_or([f_not(c) for c in phi.children])
+    if isinstance(phi, Or):
+        return f_and([f_not(c) for c in phi.children])
+    if isinstance(phi, TrueConst):
         return FALSE
-    if phi is FALSE:
+    if isinstance(phi, FalseConst):
         return TRUE
-    if isinstance(phi, Not):
-        return phi.child
-    return Not(phi)
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def f_and(children) -> Formula:
@@ -155,8 +169,6 @@ def f_or(children) -> Formula:
 def formula_ring(phi: Formula) -> PolyRing | None:
     if isinstance(phi, Atom):
         return phi.term.ring
-    if isinstance(phi, Not):
-        return formula_ring(phi.child)
     if isinstance(phi, (And, Or)):
         for c in phi.children:
             r = formula_ring(c)
@@ -244,8 +256,8 @@ class _Parser:
             raise FormulaSyntaxError(t.pos, what, t.text or "end of input")
         return self.advance()
 
-    def nested(self, parse: Callable):
-        """Skip the opening token, then parse() one level deeper."""
+    def nested(self, parse: Callable, *args):
+        """Skip the opening token, then parse(*args) one level deeper."""
         t = self.advance()
         if self.depth >= MAX_NESTING_DEPTH:
             raise SizeLimitError(
@@ -253,11 +265,12 @@ class _Parser:
             )
         self.depth += 1
         try:
-            return parse()
+            return parse(*args)
         finally:
             self.depth -= 1
 
-    # formula level
+    # formula level: positive is False under an odd number of negations,
+    # which swaps the connectives and constants and negates each literal
 
     def formula(self) -> Formula:
         node = self.or_expr()
@@ -266,46 +279,44 @@ class _Parser:
             raise FormulaSyntaxError(t.pos, "end of input or a connective", t.text)
         return node
 
-    def or_expr(self) -> Formula:
-        parts = [self.and_expr()]
+    def or_expr(self, positive: bool = True) -> Formula:
+        parts = [self.and_expr(positive)]
         while self.peek().kind == "OR":
             self.advance()
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else f_or(parts)
+            parts.append(self.and_expr(positive))
+        return parts[0] if len(parts) == 1 else (f_or if positive else f_and)(parts)
 
-    def and_expr(self) -> Formula:
-        parts = [self.not_expr()]
+    def and_expr(self, positive: bool) -> Formula:
+        parts = [self.not_expr(positive)]
         while self.peek().kind == "AND":
             self.advance()
-            parts.append(self.not_expr())
-        return parts[0] if len(parts) == 1 else f_and(parts)
+            parts.append(self.not_expr(positive))
+        return parts[0] if len(parts) == 1 else (f_and if positive else f_or)(parts)
 
-    def not_expr(self) -> Formula:
+    def not_expr(self, positive: bool) -> Formula:
         if self.peek().kind == "NOT":
-            return f_not(self.nested(self.not_expr))
-        return self.primary()
+            return self.nested(self.not_expr, not positive)
+        return self.primary(positive)
 
-    def primary(self) -> Formula:
+    def primary(self, positive: bool) -> Formula:
         t = self.peek()
-        if t.kind == "TRUE":
+        if t.kind in ("TRUE", "FALSE"):
             self.advance()
-            return TRUE
-        if t.kind == "FALSE":
-            self.advance()
-            return FALSE
+            return TRUE if (t.kind == "TRUE") == positive else FALSE
         if t.kind == "LPAREN":
             # "(" opens either a parenthesized formula or a term; try atom first
             mark = self.k
             try:
-                return self.atom()
+                return self.atom(positive)
             except FormulaSyntaxError:
                 self.k = mark
-            node = self.nested(self.or_expr)
+            node = self.nested(self.or_expr, positive)
             self.expect("RPAREN", "')'")
             return node
-        return self.atom()
+        return self.atom(positive)
 
-    def atom(self) -> Formula:
+    def atom(self, positive: bool) -> Formula:
+        """A relation against zero, negated under negative polarity."""
         left = self.term()
         t = self.peek()
         rel = t.kind
@@ -315,18 +326,11 @@ class _Parser:
         right = self.term()
         if rel in ("GT", "GEQ", "LT", "LEQ") and self.ring.field is Field.C:
             raise OrderInComplexError(f"order relation at position {t.pos} over C")
-        diff = left - right
-        if rel == "EQ":
-            return make_atom(diff, Rel.EQ0)
-        if rel == "NEQ":
-            return make_atom(diff, Rel.NEQ0)
-        if rel == "GT":
-            return make_atom(diff, Rel.GT0)
-        if rel == "GEQ":
-            return f_or([make_atom(diff, Rel.GT0), make_atom(diff, Rel.EQ0)])
-        if rel == "LT":
-            return make_atom(-diff, Rel.GT0)
-        return f_or([make_atom(-diff, Rel.GT0), make_atom(-diff, Rel.EQ0)])
+        diff = left - right if rel not in ("LT", "LEQ") else -(left - right)
+        node = make_atom(diff, {"EQ": Rel.EQ0, "NEQ": Rel.NEQ0}.get(rel, Rel.GT0))
+        if rel in ("GEQ", "LEQ"):
+            node = f_or([node, make_atom(diff, Rel.EQ0)])
+        return node if positive else f_not(node)
 
     # term level
 
@@ -415,8 +419,6 @@ def render_formula(phi: Formula) -> str:
         return "false"
     if isinstance(phi, Atom):
         return f"{phi.term.render()} {phi.rel.value} 0"
-    if isinstance(phi, Not):
-        return f"~({render_formula(phi.child)})"
     if isinstance(phi, And):
         parts = [
             f"({render_formula(c)})" if isinstance(c, Or) else render_formula(c)
@@ -428,38 +430,7 @@ def render_formula(phi: Formula) -> str:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-# -- negation normal form ----------------------------------------------------
-
-
-def _negate_atom(a: Atom) -> Formula:
-    if a.rel is Rel.EQ0:
-        return make_atom(a.term, Rel.NEQ0)
-    if a.rel is Rel.NEQ0:
-        return make_atom(a.term, Rel.EQ0)
-    return f_or([make_atom(-a.term, Rel.GT0), make_atom(a.term, Rel.EQ0)])
-
-
-def to_nnf(phi: Formula) -> Formula:
-    """Push negations to atoms; the result contains no Not nodes."""
-
-    def walk(node: Formula, positive: bool) -> Formula:
-        if isinstance(node, TrueConst):
-            return TRUE if positive else FALSE
-        if isinstance(node, FalseConst):
-            return FALSE if positive else TRUE
-        if isinstance(node, Atom):
-            return node if positive else _negate_atom(node)
-        if isinstance(node, Not):
-            return walk(node.child, not positive)
-        if isinstance(node, And):
-            parts = [walk(c, positive) for c in node.children]
-            return f_and(parts) if positive else f_or(parts)
-        if isinstance(node, Or):
-            parts = [walk(c, positive) for c in node.children]
-            return f_or(parts) if positive else f_and(parts)
-        raise TypeError(f"not a formula: {node!r}")
-
-    return walk(phi, True)
+# -- order rewrite -------------------------------------------------------------
 
 
 def rewrite_neq_to_orders(phi: Formula) -> Formula:
@@ -479,7 +450,7 @@ def rewrite_neq_to_orders(phi: Formula) -> Formula:
             return f_or([walk(c) for c in node.children])
         return node
 
-    return walk(to_nnf(phi))
+    return walk(phi)
 
 
 # -- clause matrices ----------------------------------------------------------
@@ -551,7 +522,7 @@ def _merge_clause(base: dict, extra: dict, conjunctive: bool):
 
 
 def _distribute(phi: Formula, want: NormalForm, limit: int):
-    """Clauses for the NNF input; returns (clauses, raw_count), the raw
+    """Clauses of phi; returns (clauses, raw_count), the raw
     count being that of the plain distribution with no pruning or dedup.
     While they distribute, clauses are dicts from literal key to atom, so
     each leaf literal is keyed once. Dedup keeps the first clause of each
@@ -602,7 +573,7 @@ def _distribute(phi: Formula, want: NormalForm, limit: int):
             parts = [walk(c) for c in node.children]
             raw = math.prod(n for _, n in parts)
             return product([clauses for clauses, _ in parts]), raw
-        raise TypeError(f"unexpected node in NNF: {node!r}")
+        raise TypeError(f"not a formula: {node!r}")
 
     clauses, raw = walk(phi)
     deduped = {}
@@ -612,14 +583,12 @@ def _distribute(phi: Formula, want: NormalForm, limit: int):
 
 
 def to_dnf(phi: Formula, limit: int = DEFAULT_CLAUSE_LIMIT) -> ClauseMatrix:
-    nnf = to_nnf(phi)
-    clauses, raw = _distribute(nnf, NormalForm.DNF, limit)
+    clauses, raw = _distribute(phi, NormalForm.DNF, limit)
     return ClauseMatrix(NormalForm.DNF, tuple(clauses), formula_ring(phi), raw)
 
 
 def to_cnf(phi: Formula, limit: int = DEFAULT_CLAUSE_LIMIT) -> ClauseMatrix:
-    nnf = to_nnf(phi)
-    clauses, raw = _distribute(nnf, NormalForm.CNF, limit)
+    clauses, raw = _distribute(phi, NormalForm.CNF, limit)
     return ClauseMatrix(NormalForm.CNF, tuple(clauses), formula_ring(phi), raw)
 
 
@@ -647,8 +616,6 @@ def eval_formula(phi: Formula, point) -> bool:
         return False
     if isinstance(phi, Atom):
         return _atom_holds(phi, point)
-    if isinstance(phi, Not):
-        return not eval_formula(phi.child, point)
     if isinstance(phi, And):
         return all(eval_formula(c, point) for c in phi.children)
     if isinstance(phi, Or):

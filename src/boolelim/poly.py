@@ -66,6 +66,10 @@ MAX_UNIVARIATE_DEGREE = 1 << 16
 # sum may multiply out, charged by TermBudget.times before each product;
 # parsing a rendered construction multiplies only single terms
 MAX_TERM_PRODUCTS = 1 << 18
+# the bits a power of a scalar may be charged before it is taken: the
+# exponent times the larger bit length of the scalar's numerator and
+# denominator (of both parts over C), 0 and the units costing nothing
+MAX_POWER_BITS = 1 << 18
 # the parentheses, negations and signs a parsed formula or term may nest; the
 # parser descends about six frames per level, so a parse at this depth stays
 # near 620 frames, under the interpreter's default recursion limit of 1000
@@ -104,12 +108,33 @@ def _term_count(v) -> int:
     return len(v.terms) if isinstance(v, MultiPoly) else 1
 
 
+def _bits(x: Fraction) -> int:
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def charge_power(v, e: int) -> None:
+    """Refuse v ** e with SizeLimitError when e times the larger bit length
+    of v's numerator and denominator, of both parts of a GaussianRational,
+    passes MAX_POWER_BITS; 0 and the units 1, -1, i and -i cost nothing."""
+    if isinstance(v, GaussianRational):
+        bits, mixed = max(_bits(v.re), _bits(v.im)), bool(v.re and v.im)
+    elif isinstance(v, _EXACT):
+        bits, mixed = _bits(v), False
+    else:  # a SqrtValue: its power is its radicand's at half the exponent
+        return charge_power(v.radicand, e // 2)
+    if e * bits > MAX_POWER_BITS and (bits > 1 or mixed):
+        raise SizeLimitError(f"a power {e} of a {bits}-bit value passes {MAX_POWER_BITS} bits")
+
+
 def power(p: MultiPoly, e: int, times: Callable = operator.mul) -> MultiPoly:
     """p ** e by square-and-multiply, every product taken by times: per bit
     of e from the lowest, out * p when the bit is set, then p * p while
-    higher bits remain. A TermBudget's times charges each product."""
+    higher bits remain. A TermBudget's times charges each product; each
+    coefficient of p is charged to charge_power first."""
     if e < 0:
         raise ValueError("negative polynomial power")
+    for c in p.terms.values():
+        charge_power(c, e)
     out = p.ring.one
     while e:
         if e & 1:
@@ -552,7 +577,8 @@ class MultiPoly:
         Strict (evaluation), a variable values lacks raises
         UnexpectedVariablesError and any other value, a SqrtValue, enters
         as given; otherwise (substitution) such a variable stays and any
-        other value raises FieldMismatchError."""
+        other value raises FieldMismatchError. Each power with an exponent
+        above 1 is charged to charge_power before it is taken."""
         scalar, name_of = self.ring.scalar, self.ring.table.name_of
         powers: dict = {}
         out: dict = {}
@@ -564,7 +590,10 @@ class MultiPoly:
                     name = name_of(k[0])
                     if name in values:
                         v = values[name]
-                        p = (scalar(v) if not strict or isinstance(v, _EXACT) else v) ** k[1]
+                        v = scalar(v) if not strict or isinstance(v, _EXACT) else v
+                        if k[1] > 1:
+                            charge_power(v, k[1])
+                        p = v ** k[1]
                     elif strict:
                         raise UnexpectedVariablesError(f"the point gives no value for {name!r}")
                     else:

@@ -1,4 +1,6 @@
+import io
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -10,12 +12,17 @@ from boolelim.errors import (
     OrderOnComplexError,
     SizeLimitError,
 )
+from boolelim.cli import main
 from boolelim.exactnum import gaussian
 from boolelim.formula import (
+    And,
     Atom,
+    FalseConst,
     NormalForm,
+    Or,
     RandomFormulaParams,
     Rel,
+    TrueConst,
     eval_formula,
     f_and,
     f_not,
@@ -27,7 +34,6 @@ from boolelim.formula import (
     rewrite_neq_to_orders,
     to_cnf,
     to_dnf,
-    to_nnf,
 )
 from boolelim.poly import Field
 
@@ -109,25 +115,56 @@ def test_true_false_literals():
     assert m2.d == 1 and m2.clauses == ((),)
 
 
-def test_nnf_pushes_negations_to_atoms():
+def _negation_free(phi) -> bool:
+    """Whether phi is built from atoms, constants, And and Or alone."""
+    if isinstance(phi, (And, Or)):
+        return all(_negation_free(c) for c in phi.children)
+    return isinstance(phi, (Atom, TrueConst, FalseConst))
+
+
+def test_parse_pushes_negations_to_atoms():
     phi = parse(r"~((x = 0 \/ y != 0) /\ ~(z = 0))", Field.Q)
-    nnf = to_nnf(phi)
-    text = render_formula(nnf)
-    assert "~(" not in text
+    pushed = parse(r"(x != 0 /\ y = 0) \/ z = 0", Field.Q)
+    assert _negation_free(phi)
+    assert "~(" not in render_formula(phi)
     rng = random.Random(21)
     for _ in range(60):
         pt = rational_point(rng, ["x", "y", "z"])
-        assert eval_formula(phi, pt) == eval_formula(nnf, pt)
+        assert eval_formula(phi, pt) == eval_formula(pushed, pt)
 
 
-def test_nnf_random_semantics():
+def test_f_not_random_semantics():
     rng = random.Random(22)
     for seed in range(30):
-        phi = f_not(random_formula(seed, RandomFormulaParams()))
-        nnf = to_nnf(phi)
+        phi = random_formula(seed, RandomFormulaParams())
+        neg = f_not(phi)
+        assert _negation_free(neg)
         for _ in range(10):
             pt = rational_point(rng, ["x1", "x2", "x3"])
-            assert eval_formula(phi, pt) == eval_formula(nnf, pt)
+            assert eval_formula(neg, pt) != eval_formula(phi, pt)
+
+
+@pytest.mark.parametrize(
+    "negated,plain", [(r"~~(x > 0)", "x > 0"), (r"~(~(x >= y) /\ z = 0)", r"x >= y \/ z != 0")]
+)
+def test_parse_negates_each_literal_once(monkeypatch, negated, plain):
+    """Negating t > 0 gives -t > 0 \\/ t = 0, whose own negation is not t > 0
+    again, so the parser negates each literal by the parity of the negations
+    around it rather than negating each parsed operand: the pairs take the
+    same clause keys and compile to the same bytes."""
+    keys = [
+        [[a.key() for a in cl] for cl in to_cnf(parse(text, Field.R)).clauses]
+        for text in (negated, plain)
+    ]
+    assert keys[0] == keys[1]
+    outputs = []
+    for text in (negated, plain):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ["eliminate", "--output", "json", "--field", "r", "--form", "ae"]
+        assert main(argv, out=out) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
 
 
 def test_neq_rewrite_semantics_and_relations():
@@ -148,8 +185,6 @@ def _rels(phi):
             out.add(n.rel)
         for c in getattr(n, "children", ()):
             walk(c)
-        if hasattr(n, "child"):
-            walk(n.child)
 
     walk(phi)
     return out
@@ -273,7 +308,7 @@ def test_connective_constructors_flatten():
 
 
 def test_render_formula_of_a_negation():
-    assert render_formula(f_not(parse(r"x = 0 /\ y > 0", Field.Q))) == r"~(x = 0 /\ y > 0)"
+    assert render_formula(f_not(parse(r"x = 0 /\ y > 0", Field.Q))) == r"x != 0 \/ -y > 0 \/ y = 0"
 
 
 @pytest.mark.parametrize("t", ["x", "x - 2/3*y + 1", "-x*y + 5/7"])

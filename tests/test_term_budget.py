@@ -1,22 +1,34 @@
 """Size budgets: one parsed product chain or power, one construction, one
 expansion of an equation's layout and one exact degree check may each
 multiply out at most MAX_TERM_PRODUCTS term products, charged before each
-multiplication, a power's products as it squares; a parsed formula or term
-nests at most MAX_NESTING_DEPTH parentheses, negations and signs."""
+multiplication, a power's products as it squares; a power of a scalar may
+reach at most MAX_POWER_BITS bits, charged before it is taken; a parsed
+formula or term nests at most MAX_NESTING_DEPTH parentheses, negations and
+signs."""
 
 import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from boolelim import poly
 from boolelim.cli import EXIT_OK, EXIT_PARSE, EXIT_SIZE, main
-from boolelim.elim import Shape, compile_formula
+from boolelim.elim import Shape, SqrtValue, compile_formula
+from boolelim.exactnum import IMAG_UNIT, GaussianRational
 from boolelim.errors import SizeLimitError
 from boolelim.formula import parse, parse_term
-from boolelim.poly import MAX_NESTING_DEPTH, MAX_TERM_PRODUCTS, Field, MultiPoly, PolyRing
+from boolelim.poly import (
+    MAX_NESTING_DEPTH,
+    MAX_POWER_BITS,
+    MAX_TERM_PRODUCTS,
+    Field,
+    MultiPoly,
+    PolyRing,
+    charge_power,
+)
 from test_layout_fold import plain_fold
 
 
@@ -278,4 +290,62 @@ def test_power_squaring_past_the_budget_exits_4_at_once(tmp_path):
     }))
     t0 = time.perf_counter()
     assert main(["decide", "--input", str(path), "--point", "y=1"]) == EXIT_SIZE
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_power_bits_are_the_exponent_times_the_larger_bit_length():
+    """3 and 1/3 have 2 bits, 1 + i one per part; 0 and the units are free."""
+    for v in (Fraction(3), Fraction(1, 3), Fraction(-3, 2)):
+        charge_power(v, MAX_POWER_BITS // 2)
+        with pytest.raises(SizeLimitError, match="bits"):
+            charge_power(v, MAX_POWER_BITS // 2 + 1)
+    charge_power(GaussianRational(Fraction(1), Fraction(1)), MAX_POWER_BITS)
+    with pytest.raises(SizeLimitError):
+        charge_power(GaussianRational(Fraction(1), Fraction(1)), MAX_POWER_BITS + 1)
+    for v in (Fraction(0), Fraction(1), Fraction(-1), IMAG_UNIT, -IMAG_UNIT):
+        charge_power(v, 10**9)
+
+
+def test_square_root_powers_are_charged_by_the_radicand_at_half_the_exponent():
+    ring = PolyRing(Field.R)
+    y = parse_term(f"y^{MAX_POWER_BITS}", ring)
+    assert y.evaluate({"y": SqrtValue(Fraction(3))}) == 3 ** (MAX_POWER_BITS // 2)
+    with pytest.raises(SizeLimitError):
+        parse_term(f"y^{MAX_POWER_BITS + 2}", ring).evaluate({"y": SqrtValue(Fraction(3))})
+
+
+def test_power_of_a_variable_or_a_unit_is_free(monkeypatch):
+    """x^1000000000 parses and its equation decides at 0 and the units."""
+    argv = ["eliminate", "--field", "r", "--form", "e", "--output", "json"]
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO("y^1000000000 = 0 \\/ z != 0"))
+    assert main(argv, out=out) == EXIT_OK
+    for point, verdict in (("y=0,z=0", "TRUE"), ("y=1,z=0", "FALSE"), ("y=-1,z=0", "FALSE")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out.getvalue()))
+        printed = io.StringIO()
+        assert main(["decide", "--point", point], out=printed) == EXIT_OK
+        assert printed.getvalue().strip() == verdict
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["report", "--field", "c", "--form", "ae"], "y^4000000 = 0 /\\ z = 0"),
+    (["verify", "--field", "r", "--form", "e", "--seed", "1", "--points", "8"],
+     "y^300000 = 0 \\/ z != 0"),
+    (["eliminate", "--field", "q", "--form", "e"], "3^1000000000*x = 0"),
+], ids=["report", "verify", "parse"])
+def test_power_past_the_bit_cap_exits_4_at_once(monkeypatch, argv, text):
+    """The degree report's samples evaluate y at up to 17 (5 bits), verify's
+    points have up to 6 bits, and the parser's power of 3 has 2 bits per
+    unit of the exponent: each passes MAX_POWER_BITS many times over."""
+    t0 = time.perf_counter()
+    assert _cli(monkeypatch, argv, text) == EXIT_SIZE
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_decide_past_the_bit_cap_exits_4_at_once(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO("y^4000000 = 0 \\/ z != 0"))
+    assert main(["eliminate", "--field", "r", "--form", "e", "--output", "json"], out=out) == EXIT_OK
+    t0 = time.perf_counter()
+    assert _cli(monkeypatch, ["decide", "--point", "y=3/2,z=0"], out.getvalue()) == EXIT_SIZE
     assert time.perf_counter() - t0 < 1.0
