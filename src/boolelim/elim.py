@@ -801,11 +801,11 @@ def from_json(text: str) -> QuantifiedEquation:
     rendering, and a file whose field, prefix or equation differs from the
     rebuild's is refused with ShapeUnsupportedError. Each prefix entry must
     be ["exists"|"forall", name] and every name and vars entry a string
-    that tokenizes as one identifier, with no name bound twice, else
-    ValueError. The raw clause count is the file's counts.raw_d when it has
-    one. Without provenance it is opaque: its parsed polynomial as the one
-    factor of a product under the unit guard, which the complete deciders
-    read."""
+    that tokenizes as one identifier, with no name bound twice and none
+    named i over C, where i is the imaginary unit, else ValueError. The raw
+    clause count is the file's counts.raw_d when it has one. Without
+    provenance it is opaque: its parsed polynomial as the one factor of a
+    product under the unit guard, which the complete deciders read."""
     obj = json.loads(text)
     fld = Field(obj["field"])
     ring = PolyRing(fld)
@@ -821,6 +821,8 @@ def from_json(text: str) -> QuantifiedEquation:
     prefix = tuple((q, n) for q, n in prefix)
     if len({n for _, n in prefix}) < len(prefix):
         raise ValueError(f"the prefix names one variable twice: {obj['prefix']!r}")
+    if fld is Field.C and "i" in {*names, *(n for _, n in prefix)}:
+        raise ValueError("over C the name 'i' is the imaginary unit, not a variable")
     shape = Shape(obj["shape"])
     prov = obj.get("provenance")
     if prov is not None:

@@ -1,13 +1,21 @@
 """Boolean formulas over polynomial constraints, and their normal forms.
 
-Grammar (whitespace-insensitive):
+Syntax (whitespace-insensitive), by binding power, loosest first:
 
-    formula := or ;  or := and (("\\/"|"or") and)* ;  and := not (("/\\"|"and") not)*
-    not     := ("~"|"not") not | primary
-    primary := "true" | "false" | "(" formula ")" | term REL term
-    REL     := "=" | "!=" | ">" | ">=" | "<" | "<="
-    term    := usual +, -, *, ^ arithmetic over identifiers and integer or
-               rational literals (e.g. 3/2); "^" takes a nonnegative integer.
+    "\\/" or "or"        connective, folds left
+    "/\\" or "and"       connective, folds left
+    "~" or "not"        prefix; its operand is a relation, "true", "false",
+                        "~" or a parenthesis
+    = != > >= < <=      relation between two terms, not chained
+    + -                 infix, folds left
+    *                   infix, folds left
+    -                   prefix sign
+    ^                   infix; takes a nonnegative integer, folds left
+
+A term is built from identifiers, integer or rational literals (e.g. 3/2)
+and the operators from "+" up; only a term may stand where a relation, an
+arithmetic operator or a sign reads its operand. A parenthesis holds a
+formula or a term, whichever its contents turn out to be, and is read once.
 
 Every relation is normalized to a constraint against zero: p REL q becomes
 (p - q) REL 0, and the order sugar resolves at parse time (t >= 0 becomes
@@ -179,14 +187,26 @@ def formula_ring(phi: Formula) -> PolyRing | None:
 
 # -- tokenizer / parser -----------------------------------------------------
 
-_TWO_CHAR = {"/\\": "AND", "\\/": "OR", "!=": "NEQ", ">=": "GEQ", "<=": "LEQ"}
-_ONE_CHAR = {
-    "(": "LPAREN", ")": "RPAREN", "+": "PLUS", "-": "MINUS", "*": "STAR",
-    "^": "CARET", "=": "EQ", ">": "GT", "<": "LT", "~": "NOT", "/": "SLASH",
-}
-_KEYWORDS = {"and": "AND", "or": "OR", "not": "NOT", "true": "TRUE", "false": "FALSE"}
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = _re.compile(r"\d+")
+# one alternative per token kind, each two-character operator before its
+# one-character prefix; a keyword matches as IDENT and takes its own kind,
+# and no other token's text is a keyword
+_TOKEN_RE = _re.compile(
+    r"(?P<SPACE>\s+)|(?P<AND>/\\)|(?P<OR>\\/)|(?P<NEQ>!=)|(?P<GEQ>>=)|(?P<LEQ><=)"
+    rf"|(?P<NUM>\d+)|(?P<IDENT>{_IDENT_RE.pattern})|(?P<LPAREN>\()|(?P<RPAREN>\))"
+    r"|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<CARET>\^)|(?P<EQ>=)|(?P<GT>>)"
+    r"|(?P<LT><)|(?P<NOT>~)|(?P<SLASH>/)|(?P<BAD>.)"
+)
+_KEYWORDS = {"and": "AND", "or": "OR", "not": "NOT", "true": "TRUE", "false": "FALSE"}
+
+# binding powers, loosest first; "~" reads its operand at _NOT and a sign at
+# _SIGN. A connective folds a formula, every other operator a term, and
+# from _REL up only a term may start
+_OR, _AND, _NOT, _REL, _ADD, _MUL, _SIGN, _POW = range(1, 9)
+_BINDING = {
+    "OR": _OR, "AND": _AND, "EQ": _REL, "NEQ": _REL, "GT": _REL, "GEQ": _REL, "LT": _REL,
+    "LEQ": _REL, "PLUS": _ADD, "MINUS": _ADD, "STAR": _MUL, "CARET": _POW,
+}
 
 
 def is_identifier(name) -> bool:
@@ -203,39 +223,20 @@ class _Tok:
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    n = len(text)
-    k = 0
-    while k < n:
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        two = text[k : k + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Tok(_TWO_CHAR[two], two, k))
-            k += 2
-            continue
-        m = _NUM_RE.match(text, k)
-        if m:
-            toks.append(_Tok("NUM", m.group(), k))
-            k = m.end()
-            continue
-        m = _IDENT_RE.match(text, k)
-        if m:
-            word = m.group()
-            toks.append(_Tok(_KEYWORDS.get(word, "IDENT"), word, k))
-            k = m.end()
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(_Tok(_ONE_CHAR[ch], ch, k))
-            k += 1
-            continue
-        raise FormulaSyntaxError(k, "a token", repr(ch))
-    toks.append(_Tok("EOF", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "BAD":
+            raise FormulaSyntaxError(m.start(), "a token", repr(word))
+        if kind != "SPACE":
+            toks.append(_Tok(_KEYWORDS.get(word, kind), word, m.start()))
+    toks.append(_Tok("EOF", "", len(text)))
     return toks
 
 
 class _Parser:
+    """Operator precedence over _BINDING: each token is read once, and a
+    parenthesis is a formula or a term by what it turns out to hold."""
+
     def __init__(self, toks: list[_Tok], ring: PolyRing):
         self.toks = toks
         self.k = 0
@@ -269,61 +270,73 @@ class _Parser:
         finally:
             self.depth -= 1
 
-    # formula level: positive is False under an odd number of negations,
-    # which swaps the connectives and constants and negates each literal
+    # positive is False under an odd number of negations, which swaps the
+    # connectives and constants and negates each relation
 
-    def formula(self) -> Formula:
-        node = self.or_expr()
-        t = self.peek()
-        if t.kind != "EOF":
-            raise FormulaSyntaxError(t.pos, "end of input or a connective", t.text)
+    def formula(self, node: Formula | MultiPoly) -> Formula:
+        """node, if a formula; a term is refused at the token that ends it."""
+        if not isinstance(node, Formula):
+            t = self.peek()
+            raise FormulaSyntaxError(t.pos, "a relation (=, !=, >, >=, <, <=)", t.text or "end of input")
         return node
 
-    def or_expr(self, positive: bool = True) -> Formula:
-        parts = [self.and_expr(positive)]
-        while self.peek().kind == "OR":
+    def expr(self, rbp: int, positive: bool = True) -> Formula | MultiPoly:
+        """The formula or term from here up to the first operator that binds
+        no tighter than rbp or does not take what is on its left. One
+        product chain shares the budget named at its first "*"."""
+        left = self.prefix(rbp, positive)
+        budget = None
+        while True:
+            t = self.peek()
+            bp = _BINDING.get(t.kind, 0)
+            if bp <= rbp or (bp <= _AND) != isinstance(left, Formula):
+                return left
             self.advance()
-            parts.append(self.and_expr(positive))
-        return parts[0] if len(parts) == 1 else (f_or if positive else f_and)(parts)
+            if bp <= _AND:
+                right = self.formula(self.expr(bp, positive))
+                left = (f_and if (bp == _AND) == positive else f_or)([left, right])
+            elif bp == _REL:
+                left = self.relation(t, left, self.expr(_REL), positive)
+            elif bp == _ADD:
+                right = self.expr(_ADD)
+                left = left + right if t.kind == "PLUS" else left - right
+            elif bp == _MUL:
+                budget = budget or TermBudget(f"the product at position {t.pos}")
+                left = budget.times(left, self.expr(_MUL))
+            else:
+                e = int(self.expect("NUM", "a nonnegative integer exponent").text)
+                left = power(left, e, TermBudget(f"the power at position {t.pos}").times)
 
-    def and_expr(self, positive: bool) -> Formula:
-        parts = [self.not_expr(positive)]
-        while self.peek().kind == "AND":
-            self.advance()
-            parts.append(self.not_expr(positive))
-        return parts[0] if len(parts) == 1 else (f_and if positive else f_or)(parts)
-
-    def not_expr(self, positive: bool) -> Formula:
-        if self.peek().kind == "NOT":
-            return self.nested(self.not_expr, not positive)
-        return self.primary(positive)
-
-    def primary(self, positive: bool) -> Formula:
+    def prefix(self, rbp: int, positive: bool) -> Formula | MultiPoly:
         t = self.peek()
-        if t.kind in ("TRUE", "FALSE"):
+        if t.kind == "NUM":
             self.advance()
-            return TRUE if (t.kind == "TRUE") == positive else FALSE
+            if self.peek().kind != "SLASH":
+                return self.ring.const(int(t.text))
+            self.advance()
+            den = self.expect("NUM", "a denominator")
+            return self.ring.const(Fraction(int(t.text), int(den.text)))
+        if t.kind == "IDENT":
+            self.advance()
+            if t.text == "i" and self.ring.field is Field.C:
+                return self.ring.const(IMAG_UNIT)
+            return self.ring.var(t.text)
+        if t.kind == "MINUS":
+            return -self.nested(self.expr, _SIGN)
         if t.kind == "LPAREN":
-            # "(" opens either a parenthesized formula or a term; try atom first
-            mark = self.k
-            try:
-                return self.atom(positive)
-            except FormulaSyntaxError:
-                self.k = mark
-            node = self.nested(self.or_expr, positive)
+            node = self.nested(self.expr, _REL if rbp >= _REL else 0, positive)
             self.expect("RPAREN", "')'")
             return node
-        return self.atom(positive)
+        if rbp < _REL and t.kind in ("TRUE", "FALSE"):
+            self.advance()
+            return TRUE if (t.kind == "TRUE") == positive else FALSE
+        if rbp < _REL and t.kind == "NOT":
+            return self.formula(self.nested(self.expr, _NOT, not positive))
+        raise FormulaSyntaxError(t.pos, "a variable, number, or '('", t.text or "end of input")
 
-    def atom(self, positive: bool) -> Formula:
-        """A relation against zero, negated under negative polarity."""
-        left = self.term()
-        t = self.peek()
+    def relation(self, t: _Tok, left: MultiPoly, right: MultiPoly, positive: bool) -> Formula:
+        """left REL right against zero, negated under negative polarity."""
         rel = t.kind
-        if rel not in ("EQ", "NEQ", "GT", "GEQ", "LT", "LEQ"):
-            raise FormulaSyntaxError(t.pos, "a relation (=, !=, >, >=, <, <=)", t.text or "end of input")
-        self.advance()
-        right = self.term()
         if rel in ("GT", "GEQ", "LT", "LEQ") and self.ring.field is Field.C:
             raise OrderInComplexError(f"order relation at position {t.pos} over C")
         diff = left - right if rel not in ("LT", "LEQ") else -(left - right)
@@ -331,59 +344,6 @@ class _Parser:
         if rel in ("GEQ", "LEQ"):
             node = f_or([node, make_atom(diff, Rel.EQ0)])
         return node if positive else f_not(node)
-
-    # term level
-
-    def term(self) -> MultiPoly:
-        node = self.product()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance().kind
-            rhs = self.product()
-            node = node + rhs if op == "PLUS" else node - rhs
-        return node
-
-    def product(self) -> MultiPoly:
-        node = self.unary()
-        budget = None
-        while self.peek().kind == "STAR":
-            t = self.advance()
-            budget = budget or TermBudget(f"the product at position {t.pos}")
-            node = budget.times(node, self.unary())
-        return node
-
-    def unary(self) -> MultiPoly:
-        if self.peek().kind == "MINUS":
-            return -self.nested(self.unary)
-        return self.power()
-
-    def power(self) -> MultiPoly:
-        base = self.base()
-        while self.peek().kind == "CARET":
-            t = self.advance()
-            e = int(self.expect("NUM", "a nonnegative integer exponent").text)
-            base = power(base, e, TermBudget(f"the power at position {t.pos}").times)
-        return base
-
-    def base(self) -> MultiPoly:
-        t = self.peek()
-        if t.kind == "NUM":
-            self.advance()
-            num = int(t.text)
-            if self.peek().kind == "SLASH":
-                self.advance()
-                den = self.expect("NUM", "a denominator")
-                return self.ring.const(Fraction(num, int(den.text)))
-            return self.ring.const(num)
-        if t.kind == "IDENT":
-            self.advance()
-            if t.text == "i" and self.ring.field is Field.C:
-                return self.ring.const(IMAG_UNIT)
-            return self.ring.var(t.text)
-        if t.kind == "LPAREN":
-            node = self.nested(self.term)
-            self.expect("RPAREN", "')'")
-            return node
-        raise FormulaSyntaxError(t.pos, "a variable, number, or '('", t.text or "end of input")
 
 
 def parse(text: str, fld: Field, ring: PolyRing | None = None) -> Formula:
@@ -397,15 +357,16 @@ def parse(text: str, fld: Field, ring: PolyRing | None = None) -> Formula:
     for t in toks:
         if t.kind == "IDENT" and t.text in quantified:
             raise VariableCollisionError(f"free variable {t.text!r} clashes with a quantifier name")
-    return _Parser(toks, ring).formula()
+    p = _Parser(toks, ring)
+    node = p.formula(p.expr(0))
+    p.expect("EOF", "end of input or a connective")
+    return node
 
 
 def parse_term(text: str, ring: PolyRing) -> MultiPoly:
     p = _Parser(_tokenize(text), ring)
-    node = p.term()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise FormulaSyntaxError(t.pos, "end of input", t.text)
+    node = p.expr(_REL)
+    p.expect("EOF", "end of input")
     return node
 
 

@@ -71,8 +71,8 @@ MAX_TERM_PRODUCTS = 1 << 18
 # denominator (of both parts over C), 0 and the units costing nothing
 MAX_POWER_BITS = 1 << 18
 # the parentheses, negations and signs a parsed formula or term may nest; the
-# parser descends about six frames per level, so a parse at this depth stays
-# near 620 frames, under the interpreter's default recursion limit of 1000
+# parser descends three frames per level, so a parse at this depth stays
+# near 310 frames, under the interpreter's default recursion limit of 1000
 # with room for a caller's own stack, such as a test runner's
 MAX_NESTING_DEPTH = 100
 

@@ -450,6 +450,21 @@ def test_equation_file_names_must_be_identifiers(tmp_path, capsys, change):
     assert run(["decide", "--input", eq, "--point", "y=1"]) == (EXIT_OK, "TRUE\n")
 
 
+@pytest.mark.parametrize("obj,point", [
+    ({"field": "C", "prefix": [["exists", "i"], ["forall", "b"]], "vars": ["y"],
+      "equation": "i*y*b - b", "shape": "EA_C", "counts": {}}, "y=1"),
+    ({"field": "C", "prefix": [["exists", "a"], ["forall", "b"]], "vars": ["i"],
+      "equation": "a*i*b - b", "shape": "EA_C", "counts": {}}, "i=0"),
+], ids=["quantified", "free"])
+def test_equation_file_over_c_naming_i_is_refused(tmp_path, capsys, obj, point):
+    """Over C the reader takes i as the imaginary unit, so a file naming it
+    decided another statement: the first printed FALSE, though exists i
+    forall b, i*y*b - b = 0 holds at y = 1 with i = 1/y."""
+    eq = write(tmp_path, "eq.json", json.dumps(obj))
+    assert run(["decide", "--input", eq, "--point", point])[0] == EXIT_PARSE
+    assert "imaginary unit" in capsys.readouterr().err
+
+
 def test_equation_file_binding_one_name_twice_is_refused(tmp_path, capsys):
     """A prefix that binds r twice would quantify it twice over one ring
     variable; loaded as it stood, the file decided FALSE."""

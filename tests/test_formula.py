@@ -35,7 +35,7 @@ from boolelim.formula import (
     to_cnf,
     to_dnf,
 )
-from boolelim.poly import Field
+from boolelim.poly import Field, PolyRing
 
 
 CROSS = r"(y = 0 /\ z != 0) \/ (z = 0 /\ y != 0)"
@@ -84,6 +84,53 @@ def test_parse_syntax_error_position():
         parse("", Field.Q)
     with pytest.raises(FormulaSyntaxError):
         parse("x = 0)", Field.Q)
+
+
+@pytest.mark.parametrize("text,rendered", [
+    ("(x+1)*y = 0", "x*y + y = 0"),
+    ("((x+1)*y + 1)*z = 0", "x*y*z + y*z + z = 0"),
+    ("-(x) = 0", "-x = 0"),
+    ("2^3^2*x = 0", "64*x = 0"),
+    ("~(x) = 0", "x != 0"),
+    (r"((((x))))^2 = 1 \/ ~(y != 0 /\ ~(z > 1))", r"x^2 - 1 = 0 \/ y = 0 \/ z - 1 > 0"),
+    ("x = 0 and not y = 0 or z = 0", r"x = 0 /\ y != 0 \/ z = 0"),
+])
+def test_parse_groups_powers_and_keywords(text, rendered):
+    """A parenthesis holds a term or a formula, powers fold left, "~" reads
+    a relation whole, and the keywords are the connectives."""
+    assert render_formula(parse(text, Field.Q)) == rendered
+
+
+@pytest.mark.parametrize("text,position,expected", [
+    ("x = y = z", 6, "end of input or a connective"),
+    ("(x = 0) + 1 = 0", 8, "end of input or a connective"),
+    (r"x /\ y = 0", 2, "a relation (=, !=, >, >=, <, <=)"),
+    ("1 + (x = 0) = 1", 7, "')'"),
+    ("-(x = 0)", 4, "')'"),
+    (r"x = 0 \/ (y", 11, "')'"),
+])
+def test_parse_syntax_error_names_the_culprit(text, position, expected):
+    """Relations do not chain, a formula takes no arithmetic, and where a
+    term is read a parenthesis holds a term; a group left open expects its
+    ')'."""
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse(text, Field.Q)
+    assert (e.value.position, e.value.expected) == (position, expected)
+
+
+def test_parse_reads_each_variable_once(monkeypatch):
+    """Trying a group as a term first and reading it again as a formula
+    built x and y once per level of parentheses."""
+    seen = []
+    var = PolyRing.var
+
+    def counting(ring, name):
+        seen.append(name)
+        return var(ring, name)
+
+    monkeypatch.setattr(PolyRing, "var", counting)
+    parse(r"(((x + y) = 0)) /\ z = 0", Field.Q)
+    assert seen == ["x", "y", "z"]
 
 
 def test_order_over_complex_rejected():

@@ -218,6 +218,17 @@ def test_nesting_up_to_the_limit_parses():
         parse("(" * depth + "(x) = 0" + ")" * depth, Field.Q)
 
 
+def test_deep_parentheses_around_a_wide_power_report_at_once(monkeypatch):
+    """Each parenthesis is read once. Reading each group first as a term,
+    then again as a formula, multiplied the power out once per level: this
+    437-byte formula took about 19 s."""
+    text = "(" * 99 + "(" + "+".join(f"x{k}" for k in range(1, 61)) + ")^3 = 0" + ")" * 99
+    t0 = time.perf_counter()
+    parse(text, Field.Q)
+    assert _cli(monkeypatch, ["report", "--field", "q", "--form", "e3d"], text) == EXIT_OK
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_deeply_nested_equation_file_is_bad_json(tmp_path):
     path = tmp_path / "eq.json"
     path.write_text("[" * 100_000)
